@@ -156,13 +156,6 @@ enum class RoutePolicy
     Adaptive, //!< least-backlog candidate, toggle only on full ties
 };
 
-/** Warp issue arbitration within an SM (Table 3: greedy-then-oldest). */
-enum class WarpSchedPolicy
-{
-    GreedyThenRoundRobin,
-    LooseRoundRobin,
-};
-
 /** Geometry/latency of one set-associative cache level. */
 struct CacheGeometry
 {
@@ -204,7 +197,6 @@ struct GpuConfig
      *  consumed; this caps the independent memory requests one warp may
      *  have in flight (per-warp MLP). */
     uint32_t max_outstanding_per_warp = 4;
-    WarpSchedPolicy warp_sched = WarpSchedPolicy::GreedyThenRoundRobin;
 
     // --- Caches -------------------------------------------------------------
     CacheGeometry l1{128 * KiB, 128, 4, 4};    //!< per SM

@@ -10,6 +10,24 @@
 
 namespace mcmgpu {
 
+namespace {
+
+/**
+ * Prefetch @p p unless it is null. A prefetch never faults, so a stale
+ * pointer is harmless, but null is skipped: page zero is never mapped,
+ * so the prefetch can do nothing useful and may still cost a page
+ * walk, and the staged driver's nodes, which carry no hints, would
+ * issue two per event.
+ */
+inline void
+prefetchHost(const void *p)
+{
+    if (p != nullptr)
+        __builtin_prefetch(p);
+}
+
+} // namespace
+
 EventQueue::~EventQueue()
 {
     destroyAllNodes();
@@ -118,7 +136,8 @@ EventQueue::placeNode(Node *n, bool sorted)
 }
 
 void
-EventQueue::schedule(Cycle when, EventFn fn)
+EventQueue::schedule(Cycle when, EventFn fn, const void *hint0,
+                     const void *hint1)
 {
     panic_if(when < now_, "scheduling event in the past: when=", when,
              " now=", now_);
@@ -126,7 +145,8 @@ EventQueue::schedule(Cycle when, EventFn fn)
         buckets_.resize(kWindow);
 
     Node *n = allocNode();
-    ::new (n) Node{when, now_, next_seq_++, nullptr, std::move(fn)};
+    ::new (n) Node{when, now_, next_seq_++, nullptr, {hint0, hint1},
+                   std::move(fn)};
     placeNode(n, false);
 }
 
@@ -141,7 +161,8 @@ EventQueue::scheduleDelivered(Cycle when, Cycle sched_when, EventFn fn)
         buckets_.resize(kWindow);
 
     Node *n = allocNode();
-    ::new (n) Node{when, sched_when, next_seq_++, nullptr, std::move(fn)};
+    ::new (n) Node{when, sched_when, next_seq_++, nullptr, {},
+                   std::move(fn)};
     placeNode(n, true);
 }
 
@@ -176,6 +197,15 @@ EventQueue::execNode(Node *n)
         if (b.head == nullptr) {
             b.tail = nullptr;
             occ_[scan_pos_ >> 6] &= ~(uint64_t(1) << (scan_pos_ & 63));
+        } else {
+            // Overlap the next events' host misses with this callback:
+            // warm the node after next, so every node is cached by the
+            // time it reaches the head, and the objects the next node's
+            // callback will read.
+            const Node *nx = b.head;
+            prefetchHost(nx->next);
+            prefetchHost(nx->hint[0]);
+            prefetchHost(nx->hint[1]);
         }
         --in_window_;
     } else {

@@ -22,6 +22,12 @@
  * execution order is exactly the order the old pure-heap engine
  * produced, event for event.
  *
+ * Each node also carries up to two prefetch hints: host addresses its
+ * callback is about to touch. While one event runs, the drain has
+ * already asked the memory system for the node two ahead and for the
+ * next event's hinted objects, so misses a callback would otherwise
+ * take one after another overlap (docs/PERFORMANCE.md).
+ *
  * A no-progress watchdog guards the drain: components mark real work
  * via noteProgress(), and if events keep executing for a whole window
  * without a single mark the queue raises a typed SimStall carrying a
@@ -126,8 +132,14 @@ class EventQueue
     EventQueue &operator=(const EventQueue &) = delete;
     ~EventQueue();
 
-    /** Schedule @p fn to run at absolute cycle @p when (>= now()). */
-    void schedule(Cycle when, EventFn fn);
+    /**
+     * Schedule @p fn to run at absolute cycle @p when (>= now()).
+     * @p hint0 and @p hint1 name host objects @p fn will read; the
+     * queue only ever prefetches them, never dereferences them, so
+     * they may be null or dangling and cannot change what runs.
+     */
+    void schedule(Cycle when, EventFn fn, const void *hint0 = nullptr,
+                  const void *hint1 = nullptr);
 
     /**
      * Cross-domain delivery (PDES engine only): insert @p fn at cycle
@@ -283,6 +295,9 @@ class EventQueue
         Cycle sched_when; //!< simulated time at the schedule() call
         uint64_t seq;
         Node *next; //!< FIFO link within a calendar bucket
+        /** Prefetch-only: addresses fn will touch. Never dereferenced,
+         *  so a stale pointer is harmless. */
+        const void *hint[2];
         EventFn fn;
     };
 

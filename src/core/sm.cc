@@ -55,9 +55,7 @@ Sm::launchCta(const KernelDesc &kernel, CtaId cta, Cycle now)
         auto run = std::make_shared<WarpRun>();
         run->trace = kernel.make_trace(cta, w);
         run->cta = cta;
-        eq.schedule(now, [this, run = std::move(run)]() mutable {
-            stepWarp(std::move(run));
-        });
+        scheduleStep(eq, now, std::move(run));
     }
 }
 
@@ -97,9 +95,7 @@ Sm::stepWarp(std::shared_ptr<WarpRun> warp)
                 warp->drain_parked = true;
             } else if (drain > now) {
                 warp->inflight.fill(0);
-                eq.schedule(drain, [this, w = std::move(warp)]() mutable {
-                    stepWarp(std::move(w));
-                });
+                scheduleStep(eq, drain, std::move(warp));
             } else {
                 warpRetired(warp->cta);
             }
@@ -179,9 +175,21 @@ Sm::stepWarp(std::shared_ptr<WarpRun> warp)
         }
     }
 
-    eq.schedule(ready, [this, w = std::move(warp)]() mutable {
-        stepWarp(std::move(w));
-    });
+    scheduleStep(eq, ready, std::move(warp));
+}
+
+void
+Sm::scheduleStep(EventQueue &eq, Cycle when, std::shared_ptr<WarpRun> warp)
+{
+    // Hint the run and its trace: the queue prefetches both while the
+    // event ahead of this one executes, so stepWarp's first loads
+    // (the replay flag, the trace's vptr) overlap instead of chaining.
+    const WarpRun *run = warp.get();
+    const WarpTrace *trace = run->trace.get();
+    eq.schedule(
+        when,
+        [this, w = std::move(warp)]() mutable { stepWarp(std::move(w)); },
+        run, trace);
 }
 
 void
@@ -201,9 +209,7 @@ Sm::memDone(const std::shared_ptr<WarpRun> &warp, uint32_t slot,
         warp->drain_parked = false;
         EventQueue &eq = ctx_.eventQueueFor(module_);
         const Cycle wake = std::max(done, eq.now());
-        eq.schedule(wake, [this, w = warp]() mutable {
-            stepWarp(std::move(w));
-        });
+        scheduleStep(eq, wake, warp);
     }
 }
 

@@ -103,25 +103,28 @@ class Sm
      *  flight (only ever observed under the staged memory model). */
     static constexpr Cycle kOpPending = kCycleMax;
 
+    /** Field order is a host-cache layout: what every stepWarp reads
+     *  (the replay flag, the trace, the first scoreboard slots) sits
+     *  at the front, in the line the event's prefetch hint warms. */
     struct WarpRun
     {
         std::unique_ptr<WarpTrace> trace;
         CtaId cta;
+        uint32_t inflight_idx = 0;
+        /** Parked-warp state (staged model): has_replay marks a memory
+         *  op that could not issue because its scoreboard slot
+         *  (park_slot) was still in flight; replay_op/replay_issued
+         *  replay it when the completion wakes the warp. */
+        bool has_replay = false;
+        /** Parked at retirement waiting for outstanding completions. */
+        bool drain_parked = false;
+        uint32_t park_slot = 0;
         /** Completion times of the most recent memory ops, a circular
          *  buffer of max_outstanding_per_warp entries: the warp stalls
          *  only when it would exceed its scoreboard depth. */
         std::array<Cycle, 8> inflight{};
-        uint32_t inflight_idx = 0;
-
-        /** Parked-warp state (staged model): the memory op that could
-         *  not issue because its scoreboard slot was still in flight,
-         *  replayed when the completion wakes the warp. */
         WarpOp replay_op{};
         Cycle replay_issued = 0;
-        uint32_t park_slot = 0;
-        bool has_replay = false;
-        /** Parked at retirement waiting for outstanding completions. */
-        bool drain_parked = false;
     };
 
     /** Advance one warp by one operation; self-reschedules. Takes the
@@ -129,6 +132,11 @@ class Sm
      *  scheduled event, so the dominant event type pays no shared_ptr
      *  refcount traffic after CTA launch. */
     void stepWarp(std::shared_ptr<WarpRun> warp);
+
+    /** Schedule the next stepWarp of @p warp at @p when, with the run
+     *  and its trace as the event's prefetch hints. */
+    void scheduleStep(EventQueue &eq, Cycle when,
+                      std::shared_ptr<WarpRun> warp);
 
     /** Memory completion: install the L1 line (loads), publish the
      *  completion cycle into the scoreboard slot, and wake the warp if

@@ -91,6 +91,31 @@ class Cache
      */
     CacheVictim fill(Addr addr, bool is_store, Cycle ready);
 
+    /**
+     * Host-side hint, no simulated effect: warm every host cache line
+     * of the tag set @p addr maps to, so a lookup() or fill() issued a
+     * little later does not stall on it. Callers with two caches to
+     * probe in sequence prefetch both up front and overlap the misses.
+     * A disabled cache does nothing.
+     */
+    void
+    prefetch(Addr addr) const
+    {
+        if (!enabled())
+            return;
+        const Way *set =
+            &ways_[static_cast<size_t>(setIndex(lineAddr(addr))) *
+                   ways_per_set_];
+        // Round down to a host line so a set that straddles one more
+        // line than its size suggests is still covered end to end.
+        const uintptr_t end =
+            reinterpret_cast<uintptr_t>(set + ways_per_set_);
+        for (uintptr_t p = reinterpret_cast<uintptr_t>(set) &
+                           ~uintptr_t(kHostLine - 1);
+             p < end; p += kHostLine)
+            __builtin_prefetch(reinterpret_cast<const void *>(p));
+    }
+
     /** Drop every line (software-coherence flush at kernel boundaries). */
     void invalidateAll();
 
@@ -135,6 +160,9 @@ class Cache
          *  of membership in the old pending map). */
         bool tracked = false;
     };
+
+    /** Host cache-line size the prefetch stride assumes. */
+    static constexpr size_t kHostLine = 64;
 
     Addr lineAddr(Addr addr) const { return addr & ~line_mask_; }
     uint32_t setIndex(Addr line) const;

@@ -299,6 +299,7 @@ MemPipeline::MemPipeline(const GpuConfig &cfg, EventQueue &eq, PageTable &pt,
       l2_stage_(l2, dram, energy),
       dram_stage_(dram, energy, cfg.l2.line_bytes),
       l15_(l15),
+      l2_(l2),
       staged_(cfg.mem_model == MemModel::Staged),
       remote_mshrs_(staged_ ? cfg.remote_mshrs : 0),
       vcs_(staged_ ? cfg.fabric_vcs : 0),
@@ -547,6 +548,10 @@ MemPipeline::launch(ModuleId src, Addr addr, uint32_t bytes, bool is_store,
         // stats stay bit-identical to it, at its speed.
         MemTxn txn;
         initTxn(txn, src, addr, bytes, is_store, part, home, now);
+        // Request both tag sets the walk may probe before touching
+        // either, so the two host misses overlap (docs/PERFORMANCE.md).
+        l15_[src]->prefetch(addr);
+        l2_[part]->prefetch(addr);
         if (flightOn()) [[unlikely]] {
             while (txn.phase != TxnPhase::Complete) {
                 const TxnPhase ph = txn.phase;
@@ -565,6 +570,9 @@ MemPipeline::launch(ModuleId src, Addr addr, uint32_t bytes, bool is_store,
     const bool dom = !shards_.empty();
     MemTxn &txn = (dom ? shards_[src].arena : arena_).alloc();
     initTxn(txn, src, addr, bytes, is_store, part, home, now);
+    // Only the L1.5 is probed in this event. The L2 probe runs at a
+    // later event, and a prefetch issued now would be evicted by then.
+    l15_[src]->prefetch(addr);
     txn.done = std::move(done);
 
     if (dom)

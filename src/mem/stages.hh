@@ -467,6 +467,7 @@ class MemPipeline
     DramStage dram_stage_;
 
     const std::vector<std::unique_ptr<Cache>> &l15_;
+    const std::vector<std::unique_ptr<Cache>> &l2_;
 
     bool staged_;
     uint32_t remote_mshrs_;

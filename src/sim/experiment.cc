@@ -333,6 +333,19 @@ configKey(const GpuConfig &cfg)
     // so pre-adaptive cache entries stay valid.
     if (cfg.route_policy != RoutePolicy::Static)
         os << "/R" << static_cast<int>(cfg.route_policy);
+    // The PDES engine's cycles differ from the serial engine's by the
+    // documented store-ack slip but not with its thread count (any
+    // N >= 2 is byte-identical), so one flag covers every N. Serial
+    // adds nothing.
+    if (cfg.sim_threads >= 2)
+        os << "/P1";
+    // Line size sets the tag geometry and the bytes every miss moves;
+    // the 128 B default on all three levels adds nothing.
+    if (cfg.l1.line_bytes != 128 || cfg.l15.line_bytes != 128 ||
+        cfg.l2.line_bytes != 128) {
+        os << "/L" << cfg.l1.line_bytes << ',' << cfg.l15.line_bytes << ','
+           << cfg.l2.line_bytes;
+    }
     return os.str();
 }
 

@@ -269,6 +269,74 @@ TEST(Cache, CapacityBelowOneSetPanics)
     EXPECT_ANY_THROW(Cache(g, "t.tiny", true));
 }
 
+/** Property: prefetch() is a host hint only. The same random sequence
+ *  of lookups, fills and flushes, with prefetches mixed into one copy,
+ *  gives identical outcomes, victims, stats and occupancy. */
+class CachePrefetch : public ::testing::TestWithParam<uint64_t>
+{
+};
+
+TEST_P(CachePrefetch, ChangesNoOutcome)
+{
+    const uint64_t seed = GetParam();
+    const bool write_back = seed % 2 == 0;
+    // 4 KiB, 4-way: 8 sets, so conflicts, evictions and in-flight
+    // merges all happen within a few hundred operations.
+    Cache plain(smallGeo(4 * KiB, 4), "t.pf", write_back);
+    Cache hinted(smallGeo(4 * KiB, 4), "t.pf", write_back);
+
+    Rng rng(seed);
+    for (Cycle t = 0; t < 20000; ++t) {
+        const Addr a = rng.below(64 * KiB);
+        if (rng.chance(0.5))
+            hinted.prefetch(rng.below(64 * KiB));
+        const uint64_t op = rng.below(16);
+        if (op < 9) {
+            const bool is_store = rng.chance(0.3);
+            const CacheLookup x = plain.lookup(a, is_store, t);
+            const CacheLookup y = hinted.lookup(a, is_store, t);
+            ASSERT_EQ(x.outcome, y.outcome) << "op " << t;
+            ASSERT_EQ(x.ready, y.ready) << "op " << t;
+        } else if (op < 15) {
+            const bool is_store = rng.chance(0.3);
+            const Cycle ready = t + rng.below(200);
+            const CacheVictim x = plain.fill(a, is_store, ready);
+            const CacheVictim y = hinted.fill(a, is_store, ready);
+            ASSERT_EQ(x.valid, y.valid) << "op " << t;
+            ASSERT_EQ(x.dirty, y.dirty) << "op " << t;
+            ASSERT_EQ(x.line_addr, y.line_addr) << "op " << t;
+        } else if (rng.chance(0.1)) {
+            plain.invalidateAll();
+            hinted.invalidateAll();
+        }
+        ASSERT_EQ(plain.validLines(), hinted.validLines()) << "op " << t;
+    }
+
+    const auto &ps = plain.statsGroup().scalars();
+    const auto &hs = hinted.statsGroup().scalars();
+    ASSERT_EQ(ps.size(), hs.size());
+    for (size_t i = 0; i < ps.size(); ++i)
+        EXPECT_EQ(ps[i].value(), hs[i].value()) << ps[i].name();
+    EXPECT_GT(plain.statsGroup().get("hits"), 0.0);
+    EXPECT_GT(plain.statsGroup().get("hits_pending"), 0.0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CachePrefetch,
+                         ::testing::Values(1u, 2u, 3u, 4u));
+
+TEST(Cache, PrefetchOnDisabledCacheDoesNothing)
+{
+    CacheGeometry g;
+    g.size_bytes = 0;
+    Cache c(g, "t.off", true);
+    for (Addr a = 0; a < 64 * KiB; a += 96)
+        c.prefetch(a);
+    EXPECT_EQ(c.validLines(), 0u);
+    for (const auto &s : c.statsGroup().scalars())
+        EXPECT_EQ(s.value(), 0.0) << s.name();
+    EXPECT_EQ(c.lookup(0x1000, false, 0).outcome, CacheOutcome::Miss);
+}
+
 /** Property: occupancy never exceeds capacity, for many geometries. */
 class CacheOccupancy
     : public ::testing::TestWithParam<std::tuple<uint64_t, uint32_t>>

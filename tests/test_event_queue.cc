@@ -5,10 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "common/event_queue.hh"
+#include "common/rng.hh"
 
 namespace mcmgpu {
 namespace {
@@ -462,6 +465,150 @@ TEST(EventQueueWindow, WindowsComposeWithRun)
     EXPECT_EQ(windowed.run(), EventQueue::Outcome::Drained);
     EXPECT_EQ(window_ran, serial_ran);
     EXPECT_EQ(windowed.now(), serial.now());
+}
+
+// --- Prefetch hints ----------------------------------------------------------
+
+/** What one callback observed of the queue when it ran. */
+struct Fired
+{
+    int id;
+    Cycle now;
+    Cycle sched_when;
+    bool operator==(const Fired &) const = default;
+};
+
+enum class Drain { Run, Windows, Step };
+
+/**
+ * A seeded, self-growing event population: every event schedules one
+ * or two more at the same cycle, a few cycles out, past the calendar
+ * window (far heap) or as a delivery with an earlier schedule stamp.
+ * With hints on, each schedule() names two hints drawn from live
+ * objects, nullptr and freed objects, and deliveries (which take no
+ * hints) sit between hinted nodes in the same buckets. The random
+ * stream is consumed identically either way, so only the hints differ
+ * between runs.
+ */
+class HintScenario
+{
+  public:
+    HintScenario(uint64_t seed, bool hinted)
+        : rng_(seed), window_rng_(seed ^ 0x5eed), hinted_(hinted)
+    {
+        for (size_t i = 0; i < kPool; ++i) {
+            live_.push_back(std::make_unique<uint64_t[]>(32));
+            auto *dead = new uint64_t[32];
+            freed_.push_back(dead);
+            delete[] dead;
+        }
+    }
+
+    std::vector<Fired>
+    drain(Drain how)
+    {
+        for (int i = 0; i < 16; ++i)
+            add();
+        switch (how) {
+          case Drain::Run:
+            EXPECT_EQ(eq_.run(), EventQueue::Outcome::Drained);
+            break;
+          case Drain::Windows: {
+            Cycle when = 0, sched = 0;
+            while (eq_.peekTimes(when, sched))
+                eq_.runWindow(when + 1 + window_rng_.below(200));
+            break;
+          }
+          case Drain::Step:
+            while (eq_.step()) {
+            }
+            break;
+        }
+        EXPECT_TRUE(eq_.empty());
+        EXPECT_EQ(fired_.size(), static_cast<size_t>(kEvents));
+        return fired_;
+    }
+
+  private:
+    static constexpr size_t kPool = 8;
+    static constexpr int kEvents = 4000;
+
+    const void *
+    hint()
+    {
+        const uint64_t kind = rng_.below(3);
+        const size_t idx = rng_.below(kPool);
+        if (!hinted_)
+            return nullptr;
+        if (kind == 0)
+            return live_[idx].get();
+        return kind == 1 ? nullptr : freed_[idx];
+    }
+
+    void
+    add()
+    {
+        if (next_id_ == kEvents)
+            return;
+        const int id = next_id_++;
+        const Cycle now = eq_.now();
+        const uint64_t kind = rng_.below(4);
+        const void *h0 = hint();
+        const void *h1 = hint();
+        auto fn = [this, id] { fire(id); };
+        switch (kind) {
+          case 0: // same cycle
+            eq_.schedule(now, fn, h0, h1);
+            break;
+          case 1: // near: calendar bucket
+            eq_.schedule(now + rng_.range(1, 64), fn, h0, h1);
+            break;
+          case 2: // beyond the 4096-cycle calendar window: far heap
+            eq_.schedule(now + rng_.range(5000, 20000), fn, h0, h1);
+            break;
+          default: { // delivery stamped earlier than now; no hints
+            const Cycle when = now + rng_.below(64);
+            const Cycle sched = now - std::min<Cycle>(now, rng_.below(16));
+            eq_.scheduleDelivered(when, sched, fn);
+            break;
+          }
+        }
+    }
+
+    void
+    fire(int id)
+    {
+        fired_.push_back({id, eq_.now(), eq_.currentSchedWhen()});
+        const uint64_t kids = 1 + rng_.below(2);
+        for (uint64_t k = 0; k < kids; ++k)
+            add();
+    }
+
+    EventQueue eq_;
+    Rng rng_;
+    Rng window_rng_;
+    bool hinted_;
+    int next_id_ = 0;
+    std::vector<Fired> fired_;
+    std::vector<std::unique_ptr<uint64_t[]>> live_;
+    std::vector<const void *> freed_;
+};
+
+TEST(EventQueueHints, HintsNeverChangeExecution)
+{
+    for (uint64_t seed : {1u, 7u, 42u}) {
+        const std::vector<Fired> ref =
+            HintScenario(seed, false).drain(Drain::Run);
+        // The population must reach every path the hints ride on.
+        EXPECT_GT(ref.back().now, Cycle{4096}) << "seed " << seed;
+        for (Drain how : {Drain::Run, Drain::Windows, Drain::Step}) {
+            for (bool hinted : {false, true}) {
+                EXPECT_EQ(HintScenario(seed, hinted).drain(how), ref)
+                    << "seed " << seed << " drain " << int(how)
+                    << " hinted " << hinted;
+            }
+        }
+    }
 }
 
 } // namespace

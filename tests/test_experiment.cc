@@ -55,6 +55,36 @@ TEST_F(ExperimentTest, ConfigKeyDistinguishesTimingFields)
     EXPECT_EQ(experiment::configKey(a), experiment::configKey(b));
 }
 
+TEST_F(ExperimentTest, ConfigKeyCoversEngineAndLineSize)
+{
+    const GpuConfig base = configs::mcmBasic();
+    const std::string k = experiment::configKey(base);
+
+    // Default values add nothing, so existing cache entries stay valid.
+    GpuConfig b = base;
+    b.withSimThreads(1);
+    EXPECT_EQ(experiment::configKey(b), k);
+
+    // Any parallel engine differs from serial; N >= 2 runs are
+    // byte-identical to one another, so they share a key.
+    GpuConfig p2 = base;
+    p2.withSimThreads(2);
+    GpuConfig p4 = base;
+    p4.withSimThreads(4);
+    EXPECT_NE(experiment::configKey(p2), k);
+    EXPECT_EQ(experiment::configKey(p2), experiment::configKey(p4));
+
+    // A line-size change on any level moves the key, and each level
+    // lands on a distinct key.
+    std::set<std::string> keys = {k};
+    for (CacheGeometry GpuConfig::*level :
+         {&GpuConfig::l1, &GpuConfig::l15, &GpuConfig::l2}) {
+        b = base;
+        (b.*level).line_bytes = 64;
+        EXPECT_TRUE(keys.insert(experiment::configKey(b)).second);
+    }
+}
+
 TEST_F(ExperimentTest, ConfigKeysDifferAcrossPresets)
 {
     std::vector<std::string> keys = {
