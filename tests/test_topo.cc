@@ -182,6 +182,15 @@ struct Shape
     uint32_t modules;
 };
 
+/** Name each case by its shape: gtest's default dumps the raw bytes,
+ *  which include the heap address of the spec string, so the test
+ *  names ctest discovers would change from build to build. */
+void
+PrintTo(const Shape &s, std::ostream *os)
+{
+    *os << s.spec << ", " << s.modules << " modules";
+}
+
 class TopoRoutes : public ::testing::TestWithParam<Shape>
 {
 };
