@@ -570,9 +570,6 @@ MemPipeline::launch(ModuleId src, Addr addr, uint32_t bytes, bool is_store,
     const bool dom = !shards_.empty();
     MemTxn &txn = (dom ? shards_[src].arena : arena_).alloc();
     initTxn(txn, src, addr, bytes, is_store, part, home, now);
-    // Only the L1.5 is probed in this event. The L2 probe runs at a
-    // later event, and a prefetch issued now would be evicted by then.
-    l15_[src]->prefetch(addr);
     txn.done = std::move(done);
 
     if (dom)

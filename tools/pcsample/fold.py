@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Fold a pcsample profile to functions or source lines.
 
-    python3 tools/pcsample/fold.py prof.txt              # top functions
-    python3 tools/pcsample/fold.py --lines prof.txt      # top file:line
-    python3 tools/pcsample/fold.py --top 40 --min-samples 100 prof.txt
+    python3 tools/pcsample/fold.py prof.txt | head -30   # by function
+    python3 tools/pcsample/fold.py --lines prof.txt      # by file:line
+    python3 tools/pcsample/fold.py --min-samples 100 prof.txt
 
 The profile is what libpcsample.so writes at exit (see pcsample.cc):
-one "count<TAB>object<TAB>0xaddress" line per sampled PC. Functions
+one "count<TAB>object<TAB>0xaddress" line per sampled PC. Every
+function or line is printed, most-sampled first. Functions
 come from `nm` (the enclosing symbol, so inlined code counts toward its
 caller); lines come from `addr2line` (the innermost inlined location,
 so a hot line inside an inlined helper is named as itself). Objects
@@ -20,6 +21,7 @@ import argparse
 import bisect
 import collections
 import os
+import signal
 import subprocess
 import sys
 
@@ -92,7 +94,6 @@ def main():
     ap.add_argument("profile")
     ap.add_argument("--lines", action="store_true",
                     help="fold to file:line instead of function")
-    ap.add_argument("--top", type=int, default=25)
     ap.add_argument("--min-samples", type=int, default=1)
     args = ap.parse_args()
 
@@ -110,7 +111,7 @@ def main():
             folded[name] += count
 
     print("%d samples, %d resolved" % (total, resolved))
-    for name, count in folded.most_common(args.top):
+    for name, count in folded.most_common():
         print("%6.2f%% %8d  %s" % (100.0 * count / max(total, 1), count,
                                    name))
     if total < args.min_samples or resolved == 0:
@@ -121,4 +122,6 @@ def main():
 
 
 if __name__ == "__main__":
+    # Exit quietly when the reader of a pipe (e.g. head) closes it.
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())

@@ -17,10 +17,8 @@
  *   python3 tools/pcsample/fold.py prof.txt          # by function
  *   python3 tools/pcsample/fold.py --lines prof.txt  # by file:line
  *
- * Environment:
- *   PCSAMPLE_OUT        output path, "%p" becomes the pid
- *                       (default pcsample.%p.txt)
- *   PCSAMPLE_PERIOD_US  sampling period in CPU microseconds (default 1000)
+ * PCSAMPLE_OUT sets the output path; "%p" in it becomes the pid
+ * (default pcsample.%p.txt).
  *
  * Samples are taken only until the process exits normally; a process
  * that dies on a signal or calls _exit() writes nothing.
@@ -45,13 +43,16 @@
 
 namespace {
 
+/** Sampling period in CPU microseconds. The kernel rounds it up to its
+ *  timer tick, so this asks for the fastest rate the host gives. */
+constexpr long kPeriodUs = 1000;
+
 /** Sample buffer capacity: 2^22 PCs (32 MiB of address space, touched
- *  only as it fills) is over an hour of CPU time at the default rate. */
+ *  only as it fills) is over an hour of CPU time at kPeriodUs. */
 constexpr size_t kMaxSamples = size_t(1) << 22;
 
 uintptr_t *g_pcs = nullptr;
 std::atomic<size_t> g_next{0};
-long g_period_us = 1000;
 
 uintptr_t
 interruptedPc(const void *uctx)
@@ -107,11 +108,6 @@ mainExecutable()
 __attribute__((constructor)) void
 start()
 {
-    if (const char *env = std::getenv("PCSAMPLE_PERIOD_US")) {
-        const long p = std::atol(env);
-        if (p > 0)
-            g_period_us = p;
-    }
     g_pcs = static_cast<uintptr_t *>(
         std::calloc(kMaxSamples, sizeof(uintptr_t)));
     if (g_pcs == nullptr)
@@ -121,7 +117,7 @@ start()
     sa.sa_flags = SA_SIGINFO | SA_RESTART;
     sigemptyset(&sa.sa_mask);
     sigaction(SIGPROF, &sa, nullptr);
-    setTimer(g_period_us);
+    setTimer(kPeriodUs);
 }
 
 __attribute__((destructor)) void
@@ -171,7 +167,7 @@ stop()
         return;
     }
     std::fprintf(f, "# pcsample samples=%zu dropped=%zu period_us=%ld\n",
-                 kept, taken - kept, g_period_us);
+                 kept, taken - kept, kPeriodUs);
     for (const auto &[count, site] : rows) {
         std::fprintf(f, "%llu\t%s\t0x%llx\n",
                      static_cast<unsigned long long>(count),
