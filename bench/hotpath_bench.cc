@@ -1,12 +1,14 @@
 /**
  * @file
- * google-benchmark suite for the event-engine hot path introduced with
- * the calendar queue: callback boxing (SmallFn vs std::function),
- * schedule/drain throughput in the near-future common case, far-future
- * window crossings, hit-under-fill cache probes, and the
- * kernel-boundary flush. Companion to `tools/bench_baseline`, which
- * measures the same machinery end to end; this suite isolates the
- * primitives so a regression points at the component, not the system.
+ * google-benchmark suite of the simulator's hot primitives, one layer
+ * at a time: callback boxing (SmallFn vs std::function), event-queue
+ * schedule/drain in the near-future, fan-out and far-future cases, the
+ * bandwidth-server calendar, cache probes (ready and hit-under-fill),
+ * fills and the kernel-boundary flush, a fabric send, procedural trace
+ * generation, and an end-to-end simulated-warp-instructions-per-second
+ * figure. Companion to `tools/bench_baseline`, which measures the same
+ * machinery end to end; this suite isolates the primitives so a
+ * regression points at the component, not the system.
  */
 
 #include <benchmark/benchmark.h>
@@ -14,11 +16,17 @@
 #include <functional>
 #include <memory>
 
+#include "common/bw_server.hh"
+#include "common/config.hh"
 #include "common/event_queue.hh"
+#include "common/log.hh"
 #include "common/rng.hh"
 #include "common/smallfn.hh"
 #include "common/units.hh"
 #include "mem/cache.hh"
+#include "noc/ring.hh"
+#include "sim/simulator.hh"
+#include "workloads/registry.hh"
 
 using namespace mcmgpu;
 
@@ -112,23 +120,64 @@ BM_EventQueueFarFuture(benchmark::State &state)
 BENCHMARK(BM_EventQueueFarFuture);
 
 void
-BM_CacheHitUnderFill(benchmark::State &state)
+BM_BandwidthServerAcquire(benchmark::State &state)
 {
-    // Probe lines whose fills are still in flight: the path that used
-    // to pay a hash lookup per access now reads the way's ready field.
+    BandwidthServer server(768.0);
+    Cycle t = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(server.acquire(t, 128));
+        t += 2;
+    }
+}
+BENCHMARK(BM_BandwidthServerAcquire);
+
+void
+BM_BandwidthServerSaturated(benchmark::State &state)
+{
+    // Demand 4x the rate: the calendar runs far ahead of time.
+    BandwidthServer server(32.0);
+    Cycle t = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(server.acquire(t, 128));
+        t += 1;
+    }
+}
+BENCHMARK(BM_BandwidthServerSaturated);
+
+void
+BM_CacheLookupHit(benchmark::State &state)
+{
+    // Random hits over 1 MB of resident lines. The argument is the
+    // cycle the fills complete: 0 probes ready lines; a far-future
+    // cycle probes hit-under-fill, which reads the way's ready field
+    // instead of a hash lookup.
     CacheGeometry geo{4 * MiB, 128, 16, 30};
-    Cache cache(geo, "bm.hotpath.cache", true);
+    Cache cache(geo, "bm.cache", true);
     for (Addr a = 0; a < 1 * MiB; a += 128)
-        cache.fill(a, false, 1'000'000'000);
-    Rng rng(11);
+        cache.fill(a, false, static_cast<Cycle>(state.range(0)));
+    Rng rng(7);
     Cycle t = 1;
     for (auto _ : state) {
         const Addr a = (rng.next() % (1 * MiB)) & ~127ull;
-        benchmark::DoNotOptimize(cache.lookup(a, false, t));
+        benchmark::DoNotOptimize(cache.lookup(a, false, t++));
+    }
+}
+BENCHMARK(BM_CacheLookupHit)->ArgName("fill_cycle")->Arg(0)->Arg(1'000'000'000);
+
+void
+BM_CacheFillEvict(benchmark::State &state)
+{
+    CacheGeometry geo{256 * KiB, 128, 16, 30};
+    Cache cache(geo, "bm.cache.evict", true);
+    Addr a = 0;
+    Cycle t = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(cache.fill(a, true, t));
+        a += 128;
         ++t;
     }
 }
-BENCHMARK(BM_CacheHitUnderFill);
+BENCHMARK(BM_CacheFillEvict);
 
 void
 BM_CacheInvalidateAll(benchmark::State &state)
@@ -145,6 +194,59 @@ BM_CacheInvalidateAll(benchmark::State &state)
     }
 }
 BENCHMARK(BM_CacheInvalidateAll);
+
+void
+BM_FabricSend(benchmark::State &state)
+{
+    // The fabric the basic MCM-GPU simulates on: the compiled 4-GPM ring.
+    auto fabric = Fabric::create(configs::mcmBasic());
+    Cycle t = 0;
+    uint32_t dst = 1;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(fabric->send(0, dst, 144, t));
+        dst = dst % 3 + 1;
+        t += 1;
+    }
+}
+BENCHMARK(BM_FabricSend);
+
+void
+BM_PatternTraceGeneration(benchmark::State &state)
+{
+    using namespace workloads;
+    auto spec = std::make_shared<KernelSpec>();
+    spec->name = "bm";
+    spec->num_ctas = 1024;
+    spec->warps_per_cta = 4;
+    spec->items_per_warp = 1u << 20;
+    spec->compute_per_item = 2;
+    spec->arrays = {{0x1000'0000, 32 * MiB}, {0x3000'0000, 4 * MiB}};
+    spec->accesses = {part(0), gather(1, 64), part(0, true)};
+    PatternTrace trace(spec, 17, 2);
+    WarpOp op;
+    for (auto _ : state) {
+        trace.next(op);
+        benchmark::DoNotOptimize(op.addr);
+    }
+}
+BENCHMARK(BM_PatternTraceGeneration);
+
+void
+BM_EndToEndSimulation(benchmark::State &state)
+{
+    setQuietLogging(true);
+    const workloads::Workload *w = workloads::findByAbbr("CFD");
+    GpuConfig cfg = configs::mcmOptimized();
+    uint64_t insts = 0;
+    for (auto _ : state) {
+        RunResult r = Simulator::run(cfg, *w);
+        insts += r.warp_instructions;
+        benchmark::DoNotOptimize(r.cycles);
+    }
+    state.SetItemsProcessed(static_cast<int64_t>(insts));
+    state.SetLabel("items = simulated warp instructions");
+}
+BENCHMARK(BM_EndToEndSimulation)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

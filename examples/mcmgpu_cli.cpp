@@ -18,8 +18,13 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <initializer_list>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include <iostream>
@@ -58,11 +63,10 @@ usage()
         "  --l15-mb <n>               remote-only L1.5 capacity (total)\n"
         "  --sched <p>                centralized | distributed | dynamic\n"
         "  --pages <p>                interleave | first-touch | rr-page\n"
-        "  --fabric <f>               ring | mesh | ports\n"
         "topology (docs/TOPOLOGY.md):\n"
         "  --topology <spec>          ring | mesh2d:RxC |\n"
-        "                             ring-of-rings:G/R | package:P\n"
-        "                             (empty: derive from --fabric)\n"
+        "                             ring-of-rings:G/R | package:P |\n"
+        "                             ports (default: the preset's)\n"
         "  --pkg-link-gbps <n>        inter-package link bandwidth\n"
         "                             (package:P only, default 256)\n"
         "  --pkg-hop-cycles <n>       inter-package hop latency\n"
@@ -127,38 +131,80 @@ usage()
         experiment::cliFlagHelp());
 }
 
-bool
-parseMachine(const std::string &name, GpuConfig &cfg)
+/** Exit 1 with a one-line message naming the flag and its value. */
+[[noreturn]] void
+badValue(const std::string &flag, const std::string &text,
+         const std::string &want)
 {
-    if (name == "mono-32") {
-        cfg = configs::monolithic(32);
-    } else if (name == "mono-128") {
-        cfg = configs::monolithicBuildableMax();
-    } else if (name == "mono-256") {
-        cfg = configs::monolithicUnbuildable();
-    } else if (name == "mcm-basic") {
-        cfg = configs::mcmBasic();
-    } else if (name == "mcm-optimized") {
-        cfg = configs::mcmOptimized();
-    } else if (name == "mcm-mesh") {
-        cfg = configs::mcmMesh();
-    } else if (name == "mcm-mesh-adaptive") {
-        cfg = configs::mcmMeshAdaptive();
-    } else if (name == "mcm-rings") {
-        cfg = configs::mcmRingOfRings();
-    } else if (name == "mcm-package") {
-        cfg = configs::mcmPackage();
-    } else if (name == "mcm-turnaround") {
-        cfg = configs::mcmTurnaround();
-    } else if (name == "multi-gpu") {
-        cfg = configs::multiGpuBaseline();
-    } else if (name == "multi-gpu-opt") {
-        cfg = configs::multiGpuOptimized();
-    } else {
-        return false;
-    }
-    return true;
+    std::fprintf(stderr, "bad %s value '%s' (%s)\n", flag.c_str(),
+                 text.c_str(), want.c_str());
+    std::exit(1);
 }
+
+/** @p text as a T, all of it; anything else exits via badValue(). */
+template <typename T>
+T
+number(const std::string &flag, const std::string &text)
+{
+    size_t used = 0;
+    try {
+        if constexpr (std::is_floating_point_v<T>) {
+            const T v = std::stod(text, &used);
+            if (used == text.size())
+                return v;
+        } else {
+            const unsigned long long v = std::stoull(text, &used);
+            if (used == text.size() && text[0] != '-' &&
+                v <= std::numeric_limits<T>::max())
+                return static_cast<T>(v);
+        }
+    } catch (const std::exception &) {
+    }
+    badValue(flag, text,
+             std::is_floating_point_v<T> ? "want a number"
+                                         : "want a non-negative integer");
+}
+
+/** The value @p choices pairs with @p text; anything else exits. */
+template <typename E>
+E
+word(const std::string &flag, const std::string &text,
+     std::initializer_list<std::pair<const char *, E>> choices)
+{
+    std::string names;
+    for (const auto &[name, value] : choices) {
+        if (text == name)
+            return value;
+        names += (names.empty() ? "" : "|") + std::string(name);
+    }
+    badValue(flag, text, "want " + names);
+}
+
+/**
+ * Flags that edit the machine. Parsing records them; apply() replays
+ * them in command-line order on top of each machine's preset, so they
+ * compose with --machine and --matrix in either order.
+ */
+struct MachineEdits
+{
+    std::vector<std::function<void(GpuConfig &)>> edits;
+    /** --matrix column suffix: "+<topology>" and/or "+adaptive". */
+    std::string tag;
+
+    /** @p preset with every edit applied; false for an unknown name. */
+    bool
+    apply(const std::string &preset, GpuConfig &out) const
+    {
+        if (!configs::byName(preset, out)) {
+            std::fprintf(stderr, "unknown machine '%s' (see --help)\n",
+                         preset.c_str());
+            return false;
+        }
+        for (const auto &edit : edits)
+            edit(out);
+        return true;
+    }
+};
 
 std::vector<std::string>
 splitCommas(const std::string &s)
@@ -180,25 +226,14 @@ splitCommas(const std::string &s)
  */
 int
 runMatrixMode(const std::string &machines, const std::string &workload_set,
-              MemModel mem_model, uint32_t remote_mshrs,
-              uint32_t fabric_vcs, uint32_t vc_credits,
-              const std::string &topology, const std::string &route_policy)
+              const MachineEdits &edits)
 {
     std::vector<GpuConfig> cfgs;
     for (const std::string &m : splitCommas(machines)) {
         GpuConfig c;
-        if (!parseMachine(m, c)) {
-            std::fprintf(stderr, "unknown machine '%s'\n", m.c_str());
+        if (!edits.apply(m, c))
             return 1;
-        }
-        c.withMemModel(mem_model, remote_mshrs);
-        c.withFabricVcs(fabric_vcs, vc_credits);
-        if (!topology.empty())
-            c.withTopology(topology).withName(c.name + "+" + topology);
-        if (route_policy == "adaptive") {
-            c.withRoutePolicy(RoutePolicy::Adaptive)
-                .withName(c.name + "+adaptive");
-        }
+        c.withName(c.name + edits.tag);
         cfgs.push_back(std::move(c));
     }
     std::vector<const workloads::Workload *> ws;
@@ -465,29 +500,31 @@ main(int argc, char **argv)
 {
     setQuietLogging(true);
     std::string workload = "Stream";
-    GpuConfig cfg = configs::mcmBasic();
+    std::string machine = "mcm-basic";
+    MachineEdits edits;
     bool stats = false;
     bool dump = false;
-    MemModel mem_model = MemModel::Chain;
-    uint32_t remote_mshrs = 0;
-    uint32_t fabric_vcs = 0;
-    uint32_t vc_credits = 64;
-    uint32_t sim_threads = 1;
-    std::string topology;
-    std::string route_policy; // empty: keep the preset's policy
     std::string matrix_machines;
     std::string matrix_workloads;
     std::string check_obs_dir;
-    std::string expect_status;
+    std::optional<RunStatus> expect_status;
 
     for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
+        const std::string arg = argv[i];
         auto next = [&]() -> std::string {
             if (i + 1 >= argc) {
                 usage();
                 std::exit(1);
             }
             return argv[++i];
+        };
+        // Parse the flag's value now (bad values exit before any run)
+        // and record the edit it makes to the machine.
+        auto edit = [&](std::function<void(GpuConfig &)> fn) {
+            edits.edits.push_back(std::move(fn));
+        };
+        auto num = [&](auto type_tag) {
+            return number<decltype(type_tag)>(arg, next());
         };
         if (arg == "--list") {
             for (const auto &w : workloads::allWorkloads())
@@ -498,95 +535,103 @@ main(int argc, char **argv)
         } else if (arg == "--workload") {
             workload = next();
         } else if (arg == "--machine") {
-            if (!parseMachine(next(), cfg)) {
-                usage();
-                return 1;
-            }
+            machine = next();
         } else if (arg == "--link-gbps") {
-            cfg.link_gbps = std::stod(next());
+            edit([v = num(0.0)](GpuConfig &c) { c.link_gbps = v; });
         } else if (arg == "--hop-cycles") {
-            cfg.link_hop_cycles = std::stoul(next());
+            edit([v = num(Cycle{})](GpuConfig &c) { c.link_hop_cycles = v; });
         } else if (arg == "--l15-mb") {
-            uint64_t mb = std::stoull(next());
-            cfg.withL15(mb * MiB, L15Alloc::RemoteOnly);
-            if (mb > 0 && mb * MiB < 16 * MiB)
-                cfg.l2.size_bytes = 16 * MiB - mb * MiB;
+            edit([mb = num(uint64_t{})](GpuConfig &c) {
+                c.withL15(mb * MiB, L15Alloc::RemoteOnly);
+                if (mb > 0 && mb * MiB < 16 * MiB)
+                    c.l2.size_bytes = 16 * MiB - mb * MiB;
+            });
         } else if (arg == "--sched") {
-            std::string p = next();
-            cfg.cta_sched = p == "centralized"
-                                ? CtaSchedPolicy::CentralizedRR
-                            : p == "distributed"
-                                ? CtaSchedPolicy::DistributedBatch
-                                : CtaSchedPolicy::DynamicBatch;
+            edit([p = word<CtaSchedPolicy>(
+                      arg, next(),
+                      {{"centralized", CtaSchedPolicy::CentralizedRR},
+                       {"distributed", CtaSchedPolicy::DistributedBatch},
+                       {"dynamic", CtaSchedPolicy::DynamicBatch}})](
+                     GpuConfig &c) { c.cta_sched = p; });
         } else if (arg == "--pages") {
-            std::string p = next();
-            cfg.page_policy = p == "interleave"
-                                  ? PagePolicy::FineInterleave
-                              : p == "first-touch"
-                                  ? PagePolicy::FirstTouch
-                                  : PagePolicy::RoundRobinPage;
-        } else if (arg == "--fabric") {
-            std::string f = next();
-            cfg.fabric = f == "ring"   ? FabricKind::Ring
-                         : f == "mesh" ? FabricKind::Mesh
-                                       : FabricKind::Ports;
+            edit([p = word<PagePolicy>(
+                      arg, next(),
+                      {{"interleave", PagePolicy::FineInterleave},
+                       {"first-touch", PagePolicy::FirstTouch},
+                       {"rr-page", PagePolicy::RoundRobinPage}})](
+                     GpuConfig &c) { c.page_policy = p; });
         } else if (arg == "--topology") {
-            topology = next();
+            const std::string spec = next();
+            edits.tag += "+" + spec;
+            edit([spec](GpuConfig &c) { c.withTopology(spec); });
         } else if (arg == "--route-policy") {
-            route_policy = next();
-            if (route_policy != "static" && route_policy != "adaptive") {
-                std::fprintf(
-                    stderr,
-                    "unknown --route-policy '%s' (static|adaptive)\n",
-                    route_policy.c_str());
-                return 1;
-            }
+            const RoutePolicy p = word<RoutePolicy>(
+                arg, next(),
+                {{"static", RoutePolicy::Static},
+                 {"adaptive", RoutePolicy::Adaptive}});
+            if (p == RoutePolicy::Adaptive)
+                edits.tag += "+adaptive";
+            edit([p](GpuConfig &c) { c.withRoutePolicy(p); });
         } else if (arg == "--pkg-link-gbps") {
-            cfg.pkg_link_gbps = std::stod(next());
+            edit([v = num(0.0)](GpuConfig &c) { c.pkg_link_gbps = v; });
         } else if (arg == "--pkg-hop-cycles") {
-            cfg.pkg_link_hop_cycles = std::stoull(next());
+            edit([v = num(Cycle{})](GpuConfig &c) {
+                c.pkg_link_hop_cycles = v;
+            });
         } else if (arg == "--dram-turnaround") {
-            cfg.dram_turnaround_cycles = std::stoull(next());
+            edit([v = num(Cycle{})](GpuConfig &c) {
+                c.dram_turnaround_cycles = v;
+            });
         } else if (arg == "--dram-write-drain") {
-            cfg.dram_write_drain =
-                static_cast<uint32_t>(std::stoul(next()));
+            edit([v = num(uint32_t{})](GpuConfig &c) {
+                c.dram_write_drain = v;
+            });
         } else if (arg == "--sweep-sms") {
-            cfg.fault.sweepSmsEveryModule(cfg.num_modules,
-                                          std::stoul(next()));
+            edit([v = num(uint32_t{})](GpuConfig &c) {
+                c.fault.sweepSmsEveryModule(c.num_modules, v);
+            });
         } else if (arg == "--link-derate") {
-            cfg.fault.derateLinks(std::stod(next()));
+            edit([v = num(0.0)](GpuConfig &c) { c.fault.derateLinks(v); });
         } else if (arg == "--link-error-rate") {
-            cfg.fault.injectLinkErrors(std::stod(next()));
+            edit([v = num(0.0)](GpuConfig &c) {
+                c.fault.injectLinkErrors(v);
+            });
         } else if (arg == "--kill-partition") {
-            cfg.fault.killPartition(std::stoul(next()));
+            edit([v = num(PartitionId{})](GpuConfig &c) {
+                c.fault.killPartition(v);
+            });
         } else if (arg == "--fault-seed") {
-            cfg.fault.withSeed(std::stoull(next()));
+            edit([v = num(uint64_t{})](GpuConfig &c) {
+                c.fault.withSeed(v);
+            });
         } else if (arg == "--watchdog-cycles") {
-            cfg.watchdog_cycles = std::stoull(next());
+            edit([v = num(Cycle{})](GpuConfig &c) { c.watchdog_cycles = v; });
         } else if (arg == "--max-cycles") {
-            cfg.cycle_limit = std::stoull(next());
+            edit([v = num(Cycle{})](GpuConfig &c) { c.cycle_limit = v; });
         } else if (arg == "--mem-model") {
-            std::string m = next();
-            if (m == "chain") {
-                mem_model = MemModel::Chain;
-            } else if (m == "staged") {
-                mem_model = MemModel::Staged;
-            } else {
-                std::fprintf(stderr,
-                             "unknown --mem-model '%s' (chain|staged)\n",
-                             m.c_str());
-                return 1;
-            }
+            edit([m = word<MemModel>(arg, next(),
+                                     {{"chain", MemModel::Chain},
+                                      {"staged", MemModel::Staged}})](
+                     GpuConfig &c) { c.mem_model = m; });
         } else if (arg == "--remote-mshrs") {
-            remote_mshrs = static_cast<uint32_t>(std::stoul(next()));
+            edit([v = num(uint32_t{})](GpuConfig &c) { c.remote_mshrs = v; });
         } else if (arg == "--fabric-vcs") {
-            fabric_vcs = static_cast<uint32_t>(std::stoul(next()));
+            edit([v = num(uint32_t{})](GpuConfig &c) { c.fabric_vcs = v; });
         } else if (arg == "--vc-credits") {
-            vc_credits = static_cast<uint32_t>(std::stoul(next()));
+            edit([v = num(uint32_t{})](GpuConfig &c) { c.vc_credits = v; });
         } else if (arg == "--sim-threads") {
-            sim_threads = static_cast<uint32_t>(std::stoul(next()));
+            edit([v = num(uint32_t{})](GpuConfig &c) {
+                c.withSimThreads(v);
+            });
         } else if (arg == "--expect-status") {
-            expect_status = next();
+            expect_status = word<RunStatus>(
+                arg, next(),
+                {{"finished", RunStatus::Finished},
+                 {"stalled", RunStatus::Stalled},
+                 {"deadlock", RunStatus::Deadlock},
+                 {"timeout", RunStatus::Timeout},
+                 {"cycle_limit", RunStatus::CycleLimit},
+                 {"error", RunStatus::Error}});
         } else if (arg == "--stats") {
             stats = true;
         } else if (arg == "--dump-stats") {
@@ -605,28 +650,15 @@ main(int argc, char **argv)
         }
     }
 
-    // Applied after the flag loop so --mem-model / --fabric-vcs /
-    // --topology / --route-policy compose with --machine in either
-    // order (an absent --route-policy keeps the preset's policy).
-    cfg.withMemModel(mem_model, remote_mshrs);
-    cfg.withFabricVcs(fabric_vcs, vc_credits);
-    cfg.withSimThreads(sim_threads);
-    if (!topology.empty())
-        cfg.withTopology(topology);
-    if (!route_policy.empty()) {
-        cfg.withRoutePolicy(route_policy == "adaptive"
-                                ? RoutePolicy::Adaptive
-                                : RoutePolicy::Static);
-    }
-
     if (!check_obs_dir.empty())
         return checkObsMode(check_obs_dir);
 
-    if (!matrix_machines.empty()) {
-        return runMatrixMode(matrix_machines, matrix_workloads, mem_model,
-                             remote_mshrs, fabric_vcs, vc_credits,
-                             topology, route_policy);
-    }
+    if (!matrix_machines.empty())
+        return runMatrixMode(matrix_machines, matrix_workloads, edits);
+
+    GpuConfig cfg;
+    if (!edits.apply(machine, cfg))
+        return 1;
 
     const workloads::Workload *w = workloads::findByAbbr(workload);
     if (!w) {
@@ -683,15 +715,12 @@ main(int argc, char **argv)
         std::printf("energy          : chip %.4f J, links %.4f J\n",
                     r.energy_chip_j, r.energy_link_j);
     }
-    if (!expect_status.empty()) {
-        // Scripting contract (resilience-smoke ctest): exit 0 iff the
-        // run ended exactly as predicted, 3 on any other outcome.
-        if (expect_status != toString(r.status)) {
-            std::fprintf(stderr,
-                         "expected status '%s' but run ended '%s'\n",
-                         expect_status.c_str(), toString(r.status));
-            return 3;
-        }
+    // Scripting contract (resilience-smoke ctest): exit 0 iff the run
+    // ended exactly as predicted, 3 on any other outcome.
+    if (expect_status && *expect_status != r.status) {
+        std::fprintf(stderr, "expected status '%s' but run ended '%s'\n",
+                     toString(*expect_status), toString(r.status));
+        return 3;
     }
     return 0;
 }

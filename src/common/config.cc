@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "common/log.hh"
 #include "topo/graph.hh"
@@ -68,7 +69,7 @@ GpuConfig::check() const
              "interleave granularity below line size");
     if (dram_total_gbps <= 0.0)
         flag(ConfigErrc::NoDramBandwidth, "DRAM bandwidth must be positive");
-    if (fabric != FabricKind::Ideal && num_modules > 1 && link_gbps <= 0.0)
+    if (num_modules > 1 && link_gbps <= 0.0)
         flag(ConfigErrc::NoLinkBandwidth,
              "inter-module links need bandwidth");
     if (l15_alloc != L15Alloc::Off && l15_total_bytes == 0)
@@ -91,7 +92,7 @@ GpuConfig::check() const
     // --- Topology ----------------------------------------------------------
     // A single module compiles to the ideal fabric whatever the spec
     // says, so only multi-module machines validate structure.
-    if (!topology.empty() && num_modules > 1) {
+    if (num_modules > 1) {
         topo::TopologyDesc desc;
         std::string perr;
         if (!topo::parseTopology(topology, desc, perr)) {
@@ -213,7 +214,6 @@ monolithic(uint32_t num_sms)
     c.partitions_per_module = num_sms / 32;
     c.l2.size_bytes = kTotalCacheBudget * num_sms / 256;
     c.dram_total_gbps = 3072.0 * num_sms / 256.0;
-    c.fabric = FabricKind::Ideal;
     c.link_gbps = 0.0;
     c.cta_sched = CtaSchedPolicy::CentralizedRR;
     c.page_policy = PagePolicy::FineInterleave;
@@ -242,7 +242,6 @@ mcmBasic(double link_gbps)
     c.partitions_per_module = 1;
     c.l2.size_bytes = kTotalCacheBudget;
     c.dram_total_gbps = 3072.0;
-    c.fabric = FabricKind::Ring;
     c.link_gbps = link_gbps;
     c.link_hop_cycles = 32;
     c.cta_sched = CtaSchedPolicy::CentralizedRR;
@@ -359,7 +358,7 @@ multiGpuBaseline()
     c.partitions_per_module = 4;
     c.l2.size_bytes = 16 * MiB;
     c.dram_total_gbps = 3072.0;
-    c.fabric = FabricKind::Ring; // two nodes: degenerates to one link pair
+    // The default ring over two nodes degenerates to one link pair.
     c.link_gbps = 256.0;         // 256 GB/s aggregate over both directions
     c.link_hop_cycles = 256;     // board-level hop (serdes + PCB flight)
     c.board_level_links = true;
@@ -380,6 +379,32 @@ multiGpuOptimized()
     c.l2.size_bytes = 8 * MiB;
     c.name = "multi-gpu-optimized";
     return c;
+}
+
+bool
+byName(const std::string &name, GpuConfig &out)
+{
+    static const std::pair<const char *, GpuConfig (*)()> kPresets[] = {
+        {"mono-32", [] { return monolithic(32); }},
+        {"mono-128", monolithicBuildableMax},
+        {"mono-256", monolithicUnbuildable},
+        {"mcm-basic", [] { return mcmBasic(); }},
+        {"mcm-optimized", [] { return mcmOptimized(); }},
+        {"mcm-mesh", mcmMesh},
+        {"mcm-mesh-adaptive", mcmMeshAdaptive},
+        {"mcm-rings", mcmRingOfRings},
+        {"mcm-package", mcmPackage},
+        {"mcm-turnaround", mcmTurnaround},
+        {"multi-gpu", multiGpuBaseline},
+        {"multi-gpu-opt", multiGpuOptimized},
+    };
+    for (const auto &[preset, make] : kPresets) {
+        if (name == preset) {
+            out = make();
+            return true;
+        }
+    }
+    return false;
 }
 
 } // namespace configs

@@ -108,19 +108,6 @@ enum class L15Alloc
     RemoteOnly, //!< cache only lines homed on a remote module
 };
 
-/** Inter-module fabric model. */
-enum class FabricKind
-{
-    /** Bidirectional ring, shortest-path routing, per-segment bandwidth. */
-    Ring,
-    /** 2D mesh with dimension-ordered (XY) routing. */
-    Mesh,
-    /** Ingress/egress port model (the paper's analytical abstraction). */
-    Ports,
-    /** Infinite-bandwidth zero-hop fabric (monolithic on-chip). */
-    Ideal,
-};
-
 /**
  * How the memory system resolves a post-L1 access.
  *
@@ -226,19 +213,17 @@ struct GpuConfig
     uint32_t dram_write_drain = 0;
 
     // --- Inter-module fabric --------------------------------------------------
-    FabricKind fabric = FabricKind::Ring;
     double link_gbps = 768.0;          //!< aggregate GB/s of one link
                                        //!< (both directions combined)
     Cycle link_hop_cycles = 32;        //!< per-hop latency penalty
     bool board_level_links = false;    //!< true for multi-GPU systems
     /**
-     * Declarative topology spec ("ring", "mesh2d:RxC",
-     * "ring-of-rings:G/R", "package:P" — docs/TOPOLOGY.md). Empty (the
-     * default) derives the topology from `fabric` above, preserving
-     * historical behaviour bit for bit. Non-empty specs win over
-     * `fabric` and are validated by check().
+     * The fabric: a declarative topology spec ("ring", "mesh2d:RxC",
+     * "ring-of-rings:G/R", "package:P", "ports" — docs/TOPOLOGY.md),
+     * validated by check(). Single-module machines ignore it and get
+     * an ideal on-chip fabric.
      */
-    std::string topology;
+    std::string topology = "ring";
     /** Inter-package (NVLink-class) link pricing, used only by the
      *  package:P topology's board-tier links; on-package GRS links keep
      *  using link_gbps / link_hop_cycles. Aggregate GB/s per link. */
@@ -251,11 +236,6 @@ struct GpuConfig
      *  analytic Ports and Ideal fabrics have no route candidates and
      *  ignore it. */
     RoutePolicy route_policy = RoutePolicy::Static;
-
-    // --- Energy (Table 2) -----------------------------------------------------
-    double chip_pj_per_bit = 0.080;    //!< on-chip movement, 80 fJ/b
-    double package_pj_per_bit = 0.5;   //!< on-package GRS links
-    double board_pj_per_bit = 10.0;    //!< on-board (multi-GPU) links
 
     // --- Memory pipeline ---------------------------------------------------------
     /** Split-transaction model selector; Chain reproduces the seed
@@ -439,6 +419,14 @@ GpuConfig multiGpuBaseline();
 
 /** Optimized multi-GPU: half of each GPU's L2 becomes a remote-only cache. */
 GpuConfig multiGpuOptimized();
+
+/**
+ * The preset a command line names: mono-32 | mono-128 | mono-256 |
+ * mcm-basic | mcm-optimized | mcm-mesh | mcm-mesh-adaptive | mcm-rings |
+ * mcm-package | mcm-turnaround | multi-gpu | multi-gpu-opt. Returns
+ * false (and leaves @p out alone) for any other name.
+ */
+bool byName(const std::string &name, GpuConfig &out);
 
 } // namespace configs
 

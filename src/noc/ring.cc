@@ -60,58 +60,22 @@ topoParams(const GpuConfig &cfg)
 std::unique_ptr<Fabric>
 Fabric::create(const GpuConfig &cfg)
 {
+    // A single module needs no fabric at all, whatever the spec says.
+    if (cfg.num_modules == 1)
+        return std::make_unique<IdealFabric>();
+
     const FaultPlan *plan =
         cfg.fault.degradesLinks() ? &cfg.fault : nullptr;
-
-    // An explicit --topology spec wins over the fabric kind: compile it
-    // and route by table. A single module needs no fabric at all.
-    if (!cfg.topology.empty()) {
-        if (cfg.num_modules == 1)
-            return std::make_unique<IdealFabric>();
-        topo::TopologyDesc desc;
-        std::string err;
-        fatal_if(!topo::parseTopology(cfg.topology, desc, err),
-                 "--topology: ", err);
-        return std::make_unique<topo::TableRoutedFabric>(desc,
-                                                         topoParams(cfg),
-                                                         plan,
-                                                         cfg.route_policy);
-    }
-
-    switch (cfg.fabric) {
-      case FabricKind::Ideal:
-        return std::make_unique<IdealFabric>();
-      case FabricKind::Ring: {
-        if (cfg.num_modules == 1)
-            return std::make_unique<IdealFabric>();
-        // The ring is now just the simplest compiled topology; the
-        // table-routed fabric reproduces RingFabric bit for bit.
-        topo::TopologyDesc desc;
-        desc.kind = topo::TopoKind::Ring;
-        desc.spec = "ring";
-        return std::make_unique<topo::TableRoutedFabric>(desc,
-                                                         topoParams(cfg),
-                                                         plan,
-                                                         cfg.route_policy);
-      }
-      case FabricKind::Mesh: {
-        if (cfg.num_modules == 1)
-            return std::make_unique<IdealFabric>();
-        topo::TopologyDesc desc;
-        desc.kind = topo::TopoKind::Mesh2D;
-        desc.spec = "mesh2d";
-        return std::make_unique<topo::TableRoutedFabric>(desc,
-                                                         topoParams(cfg),
-                                                         plan,
-                                                         cfg.route_policy);
-      }
-      case FabricKind::Ports:
-        if (cfg.num_modules == 1)
-            return std::make_unique<IdealFabric>();
+    topo::TopologyDesc desc;
+    std::string err;
+    fatal_if(!topo::parseTopology(cfg.topology, desc, err),
+             "--topology: ", err);
+    if (desc.kind == topo::TopoKind::Ports) {
         return std::make_unique<PortsFabric>(cfg.num_modules, cfg.link_gbps,
                                              cfg.link_hop_cycles, plan);
     }
-    panic("unknown fabric kind");
+    return std::make_unique<topo::TableRoutedFabric>(desc, topoParams(cfg),
+                                                     plan, cfg.route_policy);
 }
 
 RingFabric::RingFabric(uint32_t nodes, double gbps, Cycle hop_cycles,

@@ -5,12 +5,18 @@
  * The paper's basic MCM-GPU connects GPM crossbars into "a modular
  * on-package ring or mesh" (section 3.2); the analytical sizing of
  * section 3.3.1 abstracts the fabric as per-GPM ingress/egress port
- * bandwidth. We provide both, plus an ideal fabric for monolithic dies:
+ * bandwidth. Fabric::create builds one of three from a machine:
  *
- *  - RingFabric:  bidirectional ring, shortest-path routing, 32-cycle
- *                 hops, per-segment-per-direction bandwidth.
- *  - PortsFabric: one egress + one ingress server per module.
- *  - IdealFabric: zero latency, infinite bandwidth (on-chip crossbar).
+ *  - TableRoutedFabric (topo/table_fabric.hh): any compiled topology
+ *                 spec, the default `ring` included.
+ *  - PortsFabric: one egress + one ingress server per module
+ *                 (`--topology ports`).
+ *  - IdealFabric: zero latency, infinite bandwidth (any single-module
+ *                 machine: an on-chip crossbar).
+ *
+ * RingFabric and MeshFabric are the hand-written reference models the
+ * compiled `ring` and `mesh2d` topologies are tested against; no
+ * simulation builds them.
  */
 
 #ifndef MCMGPU_NOC_RING_HH
@@ -129,9 +135,10 @@ class Fabric
     virtual bool routesSingleCandidate() const { return false; }
 
     /**
-     * Factory from a machine description; applies the config's
-     * FaultPlan (bandwidth derating, transient-error processes) to
-     * every constructed link.
+     * Factory from a machine description: IdealFabric for one module,
+     * PortsFabric for the `ports` spec, else the table-routed compiled
+     * topology. Applies the config's FaultPlan (bandwidth derating,
+     * transient-error processes) to every constructed link.
      */
     static std::unique_ptr<Fabric> create(const GpuConfig &cfg);
 };

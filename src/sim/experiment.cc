@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -270,82 +271,45 @@ workloadKey(const workloads::Workload &w)
 std::string
 configKey(const GpuConfig &cfg)
 {
+    // Every GpuConfig field but the display name, in declaration order.
+    // Doubles print round-trip exact, so nearby values never share a key.
     std::ostringstream os;
-    os << cfg.num_modules << '/' << cfg.sms_per_module << '/'
-       << cfg.partitions_per_module << '/' << cfg.max_warps_per_sm << '/'
-       << cfg.max_ctas_per_sm << '/' << cfg.sm_issue_width << ','
-       << cfg.max_outstanding_per_warp << '/'
-       << cfg.l1.size_bytes << ',' << cfg.l1.ways << ','
-       << cfg.l1.hit_latency << '/' << cfg.l15_total_bytes << ','
-       << static_cast<int>(cfg.l15_alloc) << ',' << cfg.l15.ways << ','
-       << cfg.l15.hit_latency << ',' << cfg.l15_miss_penalty << '/'
-       << cfg.l2.size_bytes << ','
-       << cfg.l2.ways << ',' << cfg.l2.hit_latency << '/'
-       << cfg.dram_total_gbps << ',' << cfg.dram_latency_ns << ','
-       << cfg.channels_per_partition << '/'
-       << static_cast<int>(cfg.fabric) << ',' << cfg.link_gbps << ','
-       << cfg.link_hop_cycles << ',' << cfg.board_level_links << '/'
+    os.precision(std::numeric_limits<double>::max_digits10);
+    auto level = [&os](const CacheGeometry &g) {
+        os << g.size_bytes << ',' << g.line_bytes << ',' << g.ways << ','
+           << g.hit_latency << '/';
+    };
+    os << cfg.num_modules << ',' << cfg.sms_per_module << ','
+       << cfg.partitions_per_module << '/' << cfg.max_warps_per_sm << ','
+       << cfg.max_ctas_per_sm << ',' << cfg.sm_issue_width << ','
+       << cfg.max_outstanding_per_warp << '/';
+    level(cfg.l1);
+    level(cfg.l15);
+    level(cfg.l2);
+    os << cfg.l15_total_bytes << ',' << static_cast<int>(cfg.l15_alloc)
+       << ',' << cfg.l15_miss_penalty << '/' << cfg.dram_total_gbps << ','
+       << cfg.dram_latency_ns << ',' << cfg.channels_per_partition << ','
+       << cfg.dram_turnaround_cycles << ',' << cfg.dram_write_drain << '/'
+       << cfg.link_gbps << ',' << cfg.link_hop_cycles << ','
+       << cfg.board_level_links << ',' << cfg.topology << ','
+       << cfg.pkg_link_gbps << ',' << cfg.pkg_link_hop_cycles << ','
+       << static_cast<int>(cfg.route_policy) << '/'
+       << static_cast<int>(cfg.mem_model) << ',' << cfg.remote_mshrs << ','
+       << cfg.fabric_vcs << ',' << cfg.vc_credits << '/'
        << static_cast<int>(cfg.page_policy) << ',' << cfg.page_bytes << ','
-       << cfg.interleave_bytes << '/'
-       << static_cast<int>(cfg.cta_sched) << ','
-       << cfg.kernel_launch_cycles << '/'
-       << cfg.watchdog_cycles << ',' << cfg.cycle_limit;
-    // Fault plans change the machine; a pristine plan adds nothing so
-    // pre-fault cache entries for the same machine stay valid.
-    if (!cfg.fault.empty()) {
-        const FaultPlan &f = cfg.fault;
-        os << "/F" << f.seed << ',' << f.link_retry_cycles;
-        for (const auto &s : f.swept_sms)
-            os << ";s" << s.module << '.' << s.local_sm;
-        for (const auto &l : f.link_faults) {
-            os << ";l" << l.module << '.' << l.bw_derate << '.'
-               << l.error_rate;
-        }
-        for (PartitionId p : f.dead_partitions)
-            os << ";d" << p;
-    }
-    // Memory-model selection changes timing under Staged; the default
-    // chain composition adds nothing so pre-pipeline cache entries for
-    // the same machine stay valid.
-    if (cfg.mem_model != MemModel::Chain || cfg.remote_mshrs != 0) {
-        os << "/M" << static_cast<int>(cfg.mem_model) << ','
-           << cfg.remote_mshrs;
-    }
-    // Fabric virtual channels change staged timing; VCs off (the
-    // default, and the only behaviour the chain model has) adds
-    // nothing so pre-VC cache entries stay valid.
-    if (cfg.fabric_vcs != 0)
-        os << "/V" << cfg.fabric_vcs << ',' << cfg.vc_credits;
-    // An explicit topology spec changes routing (and package-tier link
-    // pricing); the empty default derives from `fabric` above, adding
-    // nothing so pre-topology cache entries stay valid.
-    if (!cfg.topology.empty()) {
-        os << "/T" << cfg.topology << ',' << cfg.pkg_link_gbps << ','
-           << cfg.pkg_link_hop_cycles;
-    }
-    // DRAM bus-turnaround model; off (the default) adds nothing.
-    if (cfg.dram_turnaround_cycles != 0) {
-        os << "/D" << cfg.dram_turnaround_cycles << ','
-           << cfg.dram_write_drain;
-    }
-    // Adaptive route selection changes fabric timing; the static
-    // default is bit-identical to the legacy toggle and adds nothing,
-    // so pre-adaptive cache entries stay valid.
-    if (cfg.route_policy != RoutePolicy::Static)
-        os << "/R" << static_cast<int>(cfg.route_policy);
-    // The PDES engine's cycles differ from the serial engine's by the
-    // documented store-ack slip but not with its thread count (any
-    // N >= 2 is byte-identical), so one flag covers every N. Serial
-    // adds nothing.
-    if (cfg.sim_threads >= 2)
-        os << "/P1";
-    // Line size sets the tag geometry and the bytes every miss moves;
-    // the 128 B default on all three levels adds nothing.
-    if (cfg.l1.line_bytes != 128 || cfg.l15.line_bytes != 128 ||
-        cfg.l2.line_bytes != 128) {
-        os << "/L" << cfg.l1.line_bytes << ',' << cfg.l15.line_bytes << ','
-           << cfg.l2.line_bytes;
-    }
+       << cfg.interleave_bytes << '/' << static_cast<int>(cfg.cta_sched)
+       << ',' << cfg.kernel_launch_cycles << '/' << cfg.fault.seed << ','
+       << cfg.fault.link_retry_cycles;
+    for (const auto &s : cfg.fault.swept_sms)
+        os << ";s" << s.module << '.' << s.local_sm;
+    for (const auto &l : cfg.fault.link_faults)
+        os << ";l" << l.module << ',' << l.bw_derate << ',' << l.error_rate;
+    for (PartitionId p : cfg.fault.dead_partitions)
+        os << ";d" << p;
+    // Runs on any N >= 2 threads are byte-identical to one another
+    // (docs/PDES.md), so the engine is only serial or parallel.
+    os << '/' << cfg.watchdog_cycles << ',' << cfg.cycle_limit << ','
+       << (cfg.sim_threads >= 2);
     return os.str();
 }
 

@@ -10,6 +10,11 @@
  *   package:P              P packages of num_modules/P GPMs; local
  *                          rings on package, board-class (NVLink-like)
  *                          links between package gateways
+ *   ports                  per-GPM ingress/egress ports (the paper's
+ *                          section 3.3.1 abstraction; no routed graph)
+ *
+ * `ring` is the default. A single-module machine has no fabric at
+ * all, whatever its spec says.
  *
  * This header is deliberately free of GpuConfig: common/config.cc
  * includes it to validate topology specs, so depending on config.hh
@@ -32,6 +37,7 @@ enum class TopoKind
     Mesh2D,      //!< R x C grid, XY (dimension-ordered) routing
     RingOfRings, //!< hierarchical: local rings + gateway express ring
     Package,     //!< multi-package board: per-package rings + board links
+    Ports,       //!< analytic ingress/egress port model, not table-routed
 };
 
 /** Parsed form of one topology spec string. */
@@ -46,7 +52,7 @@ struct TopologyDesc
     std::string spec;        //!< original text, for diagnostics
 
     /** "0x0" placeholder dims mean "derive the most-square grid that
-     *  fits the module count" (what FabricKind::Mesh historically did). */
+     *  fits the module count" (`mesh2d` or `mesh2d:auto`). */
     bool meshAuto() const
     { return kind == TopoKind::Mesh2D && mesh_rows == 0; }
 };

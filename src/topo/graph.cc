@@ -217,8 +217,10 @@ compile(const TopologyDesc &desc, const TopoParams &params, TopoGraph &graph,
                                   params.pkg_link_hop_cycles, 8, 9);
         return;
       }
+      case TopoKind::Ports:
+        break; // an analytic model: Fabric::create builds PortsFabric
     }
-    panic("unknown topology kind");
+    panic("topology '", desc.spec, "' has no link graph");
 }
 
 /**
@@ -413,6 +415,8 @@ computeRoutes(const TopologyDesc &desc, const TopoGraph &graph,
               case TopoKind::Package:
                 set.candidates = hierRoute(layout, s, d);
                 break;
+              case TopoKind::Ports:
+                break; // unreachable: compile() rejected it above
             }
         }
     }
@@ -522,6 +526,8 @@ checkTopology(const TopologyDesc &desc, uint32_t num_modules)
                     " modules");
         }
         break;
+      case TopoKind::Ports:
+        return issues; // no link graph: every pair is one port hop
     }
     if (!issues.empty())
         return issues;

@@ -28,7 +28,7 @@ TEST(Config, Table3Baseline)
     EXPECT_DOUBLE_EQ(c.dram_latency_ns, 100.0);
     EXPECT_DOUBLE_EQ(c.link_gbps, 768.0);
     EXPECT_EQ(c.link_hop_cycles, 32u);
-    EXPECT_EQ(c.fabric, FabricKind::Ring);
+    EXPECT_EQ(c.topology, "ring");
     EXPECT_EQ(c.cta_sched, CtaSchedPolicy::CentralizedRR);
     EXPECT_EQ(c.page_policy, PagePolicy::FineInterleave);
     EXPECT_EQ(c.l15_alloc, L15Alloc::Off);
@@ -41,7 +41,6 @@ TEST(Config, MonolithicScalesProportionally)
     EXPECT_DOUBLE_EQ(c32.dram_total_gbps, 384.0);
     EXPECT_EQ(c32.l2.size_bytes, 2 * MiB);
     EXPECT_EQ(c32.num_modules, 1u);
-    EXPECT_EQ(c32.fabric, FabricKind::Ideal);
 
     GpuConfig c256 = configs::monolithic(256);
     EXPECT_DOUBLE_EQ(c256.dram_total_gbps, 3072.0);
@@ -293,14 +292,6 @@ TEST(ConfigIssues, FaultPlanSanity)
                   .injectLinkErrors(1e-3)
                   .killPartition(2);
     EXPECT_TRUE(c.check().empty());
-}
-
-TEST(Config, EnergyConstantsMatchTable2)
-{
-    GpuConfig c = configs::mcmBasic();
-    EXPECT_DOUBLE_EQ(c.chip_pj_per_bit, 0.080);
-    EXPECT_DOUBLE_EQ(c.package_pj_per_bit, 0.5);
-    EXPECT_DOUBLE_EQ(c.board_pj_per_bit, 10.0);
 }
 
 class LinkSweepPresets : public ::testing::TestWithParam<double>

@@ -191,8 +191,7 @@ TEST(MeshFabric, BandwidthAccountedPerHop)
 TEST(MeshFabric, FactoryAndEndToEnd)
 {
     using namespace workloads;
-    GpuConfig cfg = configs::mcmBasic();
-    cfg.fabric = FabricKind::Mesh;
+    GpuConfig cfg = configs::mcmBasic().withTopology("mesh2d");
     cfg.name = "mcm-mesh";
     auto f = Fabric::create(cfg);
     EXPECT_EQ(f->send(0, 3, 16, 0).hops, 2u);

@@ -143,15 +143,13 @@ TEST(FabricFactory, SelectsByConfig)
     auto f2 = Fabric::create(mcm);
     EXPECT_GT(f2->send(0, 1, 100, 0).arrival, 0u);
 
-    GpuConfig ports = configs::mcmBasic();
-    ports.fabric = FabricKind::Ports;
+    GpuConfig ports = configs::mcmBasic().withTopology("ports");
     auto f3 = Fabric::create(ports);
     EXPECT_EQ(f3->send(0, 2, 16, 0).hops, 1u);
 
-    // A single-module machine gets an ideal fabric even if Ring was
+    // A single-module machine gets an ideal fabric even if a ring was
     // requested.
-    GpuConfig single = configs::monolithic(64);
-    single.fabric = FabricKind::Ring;
+    GpuConfig single = configs::monolithic(64).withTopology("ring");
     auto f4 = Fabric::create(single);
     EXPECT_EQ(f4->linkBytes(), 0u);
 }

@@ -84,29 +84,7 @@ machineByName(const std::string &name, GpuConfig &cfg)
         cfg.name += kAdaptive;
         return true;
     }
-    if (name == "mono-32")
-        cfg = configs::monolithic(32);
-    else if (name == "mono-128")
-        cfg = configs::monolithicBuildableMax();
-    else if (name == "mono-256")
-        cfg = configs::monolithicUnbuildable();
-    else if (name == "mcm-basic")
-        cfg = configs::mcmBasic();
-    else if (name == "mcm-optimized")
-        cfg = configs::mcmOptimized();
-    else if (name == "mcm-mesh")
-        cfg = configs::mcmMesh();
-    else if (name == "mcm-rings")
-        cfg = configs::mcmRingOfRings();
-    else if (name == "mcm-package")
-        cfg = configs::mcmPackage();
-    else if (name == "multi-gpu")
-        cfg = configs::multiGpuBaseline();
-    else if (name == "multi-gpu-opt")
-        cfg = configs::multiGpuOptimized();
-    else
-        return false;
-    return true;
+    return configs::byName(name, cfg);
 }
 
 std::vector<std::string>
