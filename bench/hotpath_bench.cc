@@ -5,8 +5,8 @@
  * schedule/drain in the near-future, fan-out and far-future cases, the
  * bandwidth-server calendar, cache probes (ready and hit-under-fill),
  * fills and the kernel-boundary flush, a fabric send, procedural trace
- * generation, and an end-to-end simulated-warp-instructions-per-second
- * figure. Companion to `tools/bench_baseline`, which measures the same
+ * generation, one flight-recorder entry, and an end-to-end
+ * simulated-warp-instructions-per-second figure. Companion to `tools/bench_baseline`, which measures the same
  * machinery end to end; this suite isolates the primitives so a
  * regression points at the component, not the system.
  */
@@ -24,7 +24,9 @@
 #include "common/smallfn.hh"
 #include "common/units.hh"
 #include "mem/cache.hh"
+#include "mem/txn.hh"
 #include "noc/ring.hh"
+#include "obs/flight.hh"
 #include "sim/simulator.hh"
 #include "workloads/registry.hh"
 
@@ -230,6 +232,27 @@ BM_PatternTraceGeneration(benchmark::State &state)
     }
 }
 BENCHMARK(BM_PatternTraceGeneration);
+
+void
+BM_FlightRecordPhase(benchmark::State &state)
+{
+    // One txn phase transition into a ring that has already wrapped:
+    // the steady state of a run under --obs-flight-recorder 4096.
+    obs::FlightRecorder fr(4096);
+    for (uint32_t i = 0; i < 2 * fr.capacity(); ++i)
+        fr.phase(i, i, false, 0, 1, "l15", "fab_req");
+    uint64_t id = 0;
+    for (auto _ : state) {
+        fr.phase(id, id, (id & 1) != 0, id & 3, (id >> 2) & 3,
+                 txnPhaseName(TxnPhase::L2Lookup),
+                 txnPhaseName(TxnPhase::DramRead));
+        benchmark::ClobberMemory();
+        ++id;
+    }
+    state.SetItemsProcessed(static_cast<int64_t>(id));
+    state.SetLabel("items = flight records");
+}
+BENCHMARK(BM_FlightRecordPhase);
 
 void
 BM_EndToEndSimulation(benchmark::State &state)

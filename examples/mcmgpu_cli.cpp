@@ -19,11 +19,9 @@
 #include <fstream>
 #include <functional>
 #include <initializer_list>
-#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -131,40 +129,6 @@ usage()
         experiment::cliFlagHelp());
 }
 
-/** Exit 1 with a one-line message naming the flag and its value. */
-[[noreturn]] void
-badValue(const std::string &flag, const std::string &text,
-         const std::string &want)
-{
-    std::fprintf(stderr, "bad %s value '%s' (%s)\n", flag.c_str(),
-                 text.c_str(), want.c_str());
-    std::exit(1);
-}
-
-/** @p text as a T, all of it; anything else exits via badValue(). */
-template <typename T>
-T
-number(const std::string &flag, const std::string &text)
-{
-    size_t used = 0;
-    try {
-        if constexpr (std::is_floating_point_v<T>) {
-            const T v = std::stod(text, &used);
-            if (used == text.size())
-                return v;
-        } else {
-            const unsigned long long v = std::stoull(text, &used);
-            if (used == text.size() && text[0] != '-' &&
-                v <= std::numeric_limits<T>::max())
-                return static_cast<T>(v);
-        }
-    } catch (const std::exception &) {
-    }
-    badValue(flag, text,
-             std::is_floating_point_v<T> ? "want a number"
-                                         : "want a non-negative integer");
-}
-
 /** The value @p choices pairs with @p text; anything else exits. */
 template <typename E>
 E
@@ -177,7 +141,7 @@ word(const std::string &flag, const std::string &text,
             return value;
         names += (names.empty() ? "" : "|") + std::string(name);
     }
-    badValue(flag, text, "want " + names);
+    experiment::badFlagValue(flag, text, "want " + names);
 }
 
 /**
@@ -524,7 +488,7 @@ main(int argc, char **argv)
             edits.edits.push_back(std::move(fn));
         };
         auto num = [&](auto type_tag) {
-            return number<decltype(type_tag)>(arg, next());
+            return experiment::flagNumber<decltype(type_tag)>(arg, next());
         };
         if (arg == "--list") {
             for (const auto &w : workloads::allWorkloads())
@@ -653,8 +617,19 @@ main(int argc, char **argv)
     if (!check_obs_dir.empty())
         return checkObsMode(check_obs_dir);
 
-    if (!matrix_machines.empty())
+    if (!matrix_machines.empty()) {
+        // These act on one run's result; a matrix would ignore them.
+        const char *single = expect_status ? "--expect-status"
+                             : stats       ? "--stats"
+                             : dump        ? "--dump-stats"
+                                           : nullptr;
+        if (single) {
+            std::fprintf(stderr, "%s applies to a single run, not to "
+                                 "--matrix\n", single);
+            return 1;
+        }
         return runMatrixMode(matrix_machines, matrix_workloads, edits);
+    }
 
     GpuConfig cfg;
     if (!edits.apply(machine, cfg))

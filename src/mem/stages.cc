@@ -149,8 +149,7 @@ FabricStage::release(ModuleId src, ModuleId dst, bool response)
 std::string
 FabricStage::poolName(ModuleId src, ModuleId dst, bool response) const
 {
-    return "vc" + std::to_string(vcSlot(response)) + ":gpm" +
-           std::to_string(src) + "->gpm" + std::to_string(dst);
+    return obs::vcPoolName(vcSlot(response), src, dst);
 }
 
 void
@@ -179,7 +178,7 @@ FabricStage::reportWaits(WaitGraph &wg) const
                     // slot, which is what the back-pressure reaches.
                     bool held = false;
                     if (w->holds_mshr) {
-                        wg.edge("mshr:gpm" + std::to_string(w->src),
+                        wg.edge(obs::mshrPoolName(w->src),
                                 pool, detail);
                         held = true;
                     }
@@ -441,7 +440,7 @@ MemPipeline::reportWaits(WaitGraph &wg) const
         const MshrState &s = mshrs_[m];
         if (s.waitq_head == nullptr)
             continue;
-        const std::string pool = "mshr:gpm" + std::to_string(m);
+        const std::string pool = obs::mshrPoolName(m);
         uint32_t waiting = 0;
         for (const MemTxn *w = s.waitq_head; w != nullptr; w = w->next)
             ++waiting;
@@ -621,9 +620,8 @@ MemPipeline::admit(MemTxn &txn)
             else
                 ++txn_mshr_stalls_;
             if (flightOn()) [[unlikely]] {
-                flightNote(txn.t, log_detail::concat(
-                    "txn ", txn.id, " waiting on mshr:gpm", txn.src,
-                    " (", m.in_use, "/", remote_mshrs_, " in use)"));
+                rec_->flight()->mshrWait(txn.t, txn.id, txn.src, m.in_use,
+                                         remote_mshrs_);
             }
             txn.next = nullptr;
             if (m.waitq_tail != nullptr)
@@ -742,10 +740,8 @@ MemPipeline::parkForCredit(MemTxn &txn, ModuleId src, ModuleId dst,
     ++*txn_vc_parked_;
     fabric_stage_.park(src, dst, response, txn);
     if (flightOn()) [[unlikely]] {
-        flightNote(txn.t, log_detail::concat(
-            "txn ", txn.id, " parked on ",
-            fabric_stage_.poolName(src, dst, response),
-            " (no credit free)"));
+        rec_->flight()->vcPark(txn.t, txn.id,
+                               fabric_stage_.vcSlot(response), src, dst);
     }
     const double parked =
         static_cast<double>(fabric_stage_.parkedNow(0)) +
@@ -767,9 +763,8 @@ MemPipeline::releaseVcCredit(ModuleId src, ModuleId dst, bool response)
         w->t = now;
     *txn_vc_park_cycles_ += static_cast<double>(w->t - w->stall_start);
     if (flightOn()) [[unlikely]] {
-        flightNote(w->t, log_detail::concat(
-            "credit on ", fabric_stage_.poolName(src, dst, response),
-            " handed to txn ", w->id));
+        rec_->flight()->vcHandoff(w->t, w->id,
+                                  fabric_stage_.vcSlot(response), src, dst);
     }
     traceVcWait(*w);
     scheduleAdvance(*w);
@@ -801,10 +796,8 @@ MemPipeline::releaseMshr(MemTxn &txn)
             static_cast<double>(w->t - w->stall_start);
     else
         txn_mshr_stall_cycles_ += static_cast<double>(w->t - w->stall_start);
-    if (flightOn()) [[unlikely]] {
-        flightNote(w->t, log_detail::concat("mshr:gpm", w->src,
-                                            " handed to txn ", w->id));
-    }
+    if (flightOn()) [[unlikely]]
+        rec_->flight()->mshrHandoff(w->t, w->id, w->src);
     scheduleAdvance(*w);
 }
 
@@ -1112,19 +1105,9 @@ MemPipeline::flightOn() const
 void
 MemPipeline::flightPhase(TxnPhase from, const MemTxn &txn)
 {
-    rec_->flight()->record(
-        txn.t,
-        log_detail::concat("txn ", txn.id,
-                           txn.is_store ? " store" : " load", " gpm",
-                           txn.src, "->gpm", txn.home_module, ": ",
-                           txnPhaseName(from), " -> ",
-                           txnPhaseName(txn.phase)));
-}
-
-void
-MemPipeline::flightNote(Cycle when, std::string what)
-{
-    rec_->flight()->record(when, std::move(what));
+    rec_->flight()->phase(txn.t, txn.id, txn.is_store, txn.src,
+                          txn.home_module, txnPhaseName(from),
+                          txnPhaseName(txn.phase));
 }
 
 void

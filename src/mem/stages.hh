@@ -126,6 +126,10 @@ class FabricStage : public MemStage
     /** Credits currently held across all pools of @p vc. */
     uint32_t creditsInUse(uint32_t vc) const { return in_use_now_[vc]; }
 
+    /** Response traffic only gets its own lane with >= 2 VCs. */
+    uint32_t vcSlot(bool response) const
+    { return (response && vcs_ >= 2) ? 1 : 0; }
+
     /** Diagnosis name of one pool, e.g. "vc0:gpm1->gpm3". */
     std::string poolName(ModuleId src, ModuleId dst, bool response) const;
 
@@ -144,10 +148,6 @@ class FabricStage : public MemStage
         MemTxn *head = nullptr;
         MemTxn *tail = nullptr;
     };
-
-    /** Response traffic only gets its own lane with >= 2 VCs. */
-    uint32_t vcSlot(bool response) const
-    { return (response && vcs_ >= 2) ? 1 : 0; }
 
     size_t
     poolIndex(ModuleId src, ModuleId dst, bool response) const
@@ -451,7 +451,6 @@ class MemPipeline
     /** Flight-recorder entries (passive; only when rec_->flight()). */
     bool flightOn() const;
     void flightPhase(TxnPhase from, const MemTxn &txn);
-    void flightNote(Cycle when, std::string what);
     void traceStage(TxnPhase ph, Cycle start, MemTxn &txn);
     void ensureTraceTracks();
     void traceVcWait(const MemTxn &txn);

@@ -5,6 +5,19 @@
 namespace mcmgpu {
 namespace obs {
 
+std::string
+vcPoolName(uint32_t vc_slot, uint32_t src, uint32_t dst)
+{
+    return "vc" + std::to_string(vc_slot) + ":gpm" + std::to_string(src) +
+           "->gpm" + std::to_string(dst);
+}
+
+std::string
+mshrPoolName(uint32_t gpm)
+{
+    return "mshr:gpm" + std::to_string(gpm);
+}
+
 FlightRecorder::FlightRecorder(uint32_t capacity)
     : capacity_(capacity ? capacity : 1)
 {
@@ -14,11 +27,10 @@ FlightRecorder::FlightRecorder(uint32_t capacity)
 void
 FlightRecorder::record(Cycle when, std::string what)
 {
-    Event &slot = ring_[next_seq_ % capacity_];
-    slot.when = when;
-    slot.seq = next_seq_;
-    slot.what = std::move(what);
-    ++next_seq_;
+    if (text_.empty())
+        text_.resize(capacity_);
+    text_[head_] = std::move(what);
+    claim(when, Kind::Text, 0);
 }
 
 uint32_t
@@ -34,6 +46,34 @@ FlightRecorder::dropped() const
     return next_seq_ < capacity_ ? 0 : next_seq_ - capacity_;
 }
 
+std::string
+FlightRecorder::describe(uint32_t slot) const
+{
+    const Record &r = ring_[slot];
+    const std::string txn = "txn " + std::to_string(r.txn);
+    switch (r.kind) {
+      case Kind::Phase:
+        return txn + (r.store ? " store" : " load") + " gpm" +
+               std::to_string(r.gpm) + "->gpm" + std::to_string(r.dst) +
+               ": " + r.from + " -> " + r.to;
+      case Kind::MshrWait:
+        return txn + " waiting on " + mshrPoolName(r.gpm) + " (" +
+               std::to_string(r.in_use) + "/" + std::to_string(r.limit) +
+               " in use)";
+      case Kind::VcPark:
+        return txn + " parked on " + vcPoolName(r.vc_slot, r.gpm, r.dst) +
+               " (no credit free)";
+      case Kind::VcHandoff:
+        return "credit on " + vcPoolName(r.vc_slot, r.gpm, r.dst) +
+               " handed to " + txn;
+      case Kind::MshrHandoff:
+        return mshrPoolName(r.gpm) + " handed to " + txn;
+      case Kind::Text:
+        break;
+    }
+    return text_[slot];
+}
+
 std::vector<FlightRecorder::Event>
 FlightRecorder::events() const
 {
@@ -43,8 +83,10 @@ FlightRecorder::events() const
     // Oldest retained event sits at next_seq_ % capacity_ once the
     // ring has wrapped; before that the ring is a plain prefix.
     const uint64_t first = next_seq_ - n;
-    for (uint64_t s = first; s < next_seq_; ++s)
-        out.push_back(ring_[s % capacity_]);
+    for (uint64_t s = first; s < next_seq_; ++s) {
+        const uint32_t slot = static_cast<uint32_t>(s % capacity_);
+        out.push_back({ring_[slot].when, s, describe(slot)});
+    }
     return out;
 }
 

@@ -1,5 +1,6 @@
 #include "sim/experiment.hh"
 
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
@@ -205,6 +206,15 @@ cliFlagHelp()
            "MCMGPU_OBS_DIR)\n";
 }
 
+void
+badFlagValue(const std::string &flag, const std::string &text,
+             const std::string &want)
+{
+    std::fprintf(stderr, "bad %s value '%s' (%s)\n", flag.c_str(),
+                 text.c_str(), want.c_str());
+    std::exit(1);
+}
+
 bool
 parseCliFlag(int argc, char **argv, int &i)
 {
@@ -216,16 +226,16 @@ parseCliFlag(int argc, char **argv, int &i)
     if (!std::strcmp(arg, "--quiet")) {
         setProgress(false);
     } else if (!std::strcmp(arg, "--jobs")) {
-        setJobs(unsigned(std::strtoul(value(), nullptr, 10)));
+        setJobs(flagNumber<unsigned>(arg, value()));
     } else if (!std::strcmp(arg, "--runs-json")) {
         setRunsJsonPath(value());
     } else if (!std::strcmp(arg, "--cache-dir")) {
         setCacheDir(value());
     } else if (!std::strcmp(arg, "--job-timeout-s")) {
-        setJobTimeout(std::strtod(value(), nullptr));
+        setJobTimeout(flagNumber<double>(arg, value()));
     } else if (!std::strcmp(arg, "--sample-period")) {
         obs::Options o = obs::options();
-        o.sample_period = std::strtoull(value(), nullptr, 10);
+        o.sample_period = flagNumber<Cycle>(arg, value());
         obs::setOptions(o);
     } else if (!std::strcmp(arg, "--stats-json")) {
         obs::Options o = obs::options();
@@ -237,8 +247,7 @@ parseCliFlag(int argc, char **argv, int &i)
         obs::setOptions(o);
     } else if (!std::strcmp(arg, "--obs-flight-recorder")) {
         obs::Options o = obs::options();
-        o.flight_recorder = static_cast<uint32_t>(
-            std::strtoul(value(), nullptr, 10));
+        o.flight_recorder = flagNumber<uint32_t>(arg, value());
         obs::setOptions(o);
     } else if (!std::strcmp(arg, "--obs-dir")) {
         obs::Options o = obs::options();

@@ -17,8 +17,11 @@
 #ifndef MCMGPU_SIM_EXPERIMENT_HH
 #define MCMGPU_SIM_EXPERIMENT_HH
 
+#include <exception>
+#include <limits>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/config.hh"
@@ -75,12 +78,46 @@ void setRunsJsonPath(std::string path);
  */
 void setJobTimeout(double seconds);
 
+/** Exit 1 with a one-line message naming the flag and its value. */
+[[noreturn]] void badFlagValue(const std::string &flag,
+                               const std::string &text,
+                               const std::string &want);
+
+/**
+ * @p text as a T, all of it: non-numeric text, trailing junk, a sign
+ * on an unsigned T and values T cannot hold exit via badFlagValue().
+ */
+template <typename T>
+T
+flagNumber(const std::string &flag, const std::string &text)
+{
+    size_t used = 0;
+    try {
+        if constexpr (std::is_floating_point_v<T>) {
+            const T v = std::stod(text, &used);
+            if (used == text.size())
+                return v;
+        } else {
+            const unsigned long long v = std::stoull(text, &used);
+            if (used == text.size() && text[0] != '-' &&
+                v <= std::numeric_limits<T>::max())
+                return static_cast<T>(v);
+        }
+    } catch (const std::exception &) {
+    }
+    badFlagValue(flag, text,
+                 std::is_floating_point_v<T> ? "want a number"
+                                             : "want a non-negative integer");
+}
+
 /**
  * Consume one shared experiment CLI flag at @p argv[i] (--quiet,
  * --jobs N, --runs-json PATH, --cache-dir DIR, --job-timeout-s S,
- * --sample-period N, --stats-json, --trace-json, --obs-dir DIR),
- * advancing @p i past any value. Every bench binary routes unrecognized args through
- * this. @return true if the flag was consumed.
+ * --sample-period N, --stats-json, --trace-json,
+ * --obs-flight-recorder N, --obs-dir DIR), advancing @p i past any
+ * value. Every bench binary routes unrecognized args through this. A
+ * malformed number exits 1 via badFlagValue().
+ * @return true if the flag was consumed.
  */
 bool parseCliFlag(int argc, char **argv, int &i);
 

@@ -27,6 +27,7 @@
 #include "common/log.hh"
 #include "common/stats.hh"
 #include "common/units.hh"
+#include "mem/txn.hh"
 #include "obs/flight.hh"
 #include "obs/options.hh"
 #include "obs/recorder.hh"
@@ -240,6 +241,104 @@ TEST(FlightRecorder, DumpIsValidJsonWithHostileText)
                      << os.str();
     EXPECT_NE(os.str().find("\"mcmgpu-flight/1\""), std::string::npos);
     EXPECT_NE(os.str().find("\"dropped\": 0"), std::string::npos);
+}
+
+TEST(FlightRecorder, EveryRecordKindKeepsItsText)
+{
+    // One event of each kind, with the exact text the dumps have always
+    // carried for these fields: lines of real deadlock dumps, and for
+    // the response VC the pool name the stall diagnostic prints.
+    obs::FlightRecorder fr(16);
+    fr.phase(1390, 43, false, 2, 0, txnPhaseName(TxnPhase::FabResp),
+             txnPhaseName(TxnPhase::Complete));
+    fr.phase(651, 32768, true, 0, 0, txnPhaseName(TxnPhase::L2Fill),
+             txnPhaseName(TxnPhase::Complete));
+    fr.mshrWait(558, 16816, 0, 4, 4);
+    fr.vcPark(312, 2, 0, 0, 1);
+    fr.vcPark(320, 7, 1, 2, 0);
+    fr.vcHandoff(469, 9, 0, 2, 1);
+    fr.mshrHandoff(502, 26, 2);
+    fr.record(1522, "run failed: deadlock — wedged");
+
+    const std::vector<std::string> want = {
+        "txn 43 load gpm2->gpm0: fab_resp -> complete",
+        "txn 32768 store gpm0->gpm0: l2_fill -> complete",
+        "txn 16816 waiting on mshr:gpm0 (4/4 in use)",
+        "txn 2 parked on vc0:gpm0->gpm1 (no credit free)",
+        "txn 7 parked on vc1:gpm2->gpm0 (no credit free)",
+        "credit on vc0:gpm2->gpm1 handed to txn 9",
+        "mshr:gpm2 handed to txn 26",
+        "run failed: deadlock — wedged",
+    };
+    const auto evs = fr.events();
+    ASSERT_EQ(evs.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(evs[i].what, want[i]) << i;
+        EXPECT_EQ(evs[i].seq, i);
+    }
+    EXPECT_EQ(evs.front().when, 1390u);
+    EXPECT_EQ(evs.back().when, 1522u);
+
+    // The pool names in the text are the wait-for graph's names.
+    EXPECT_EQ(obs::vcPoolName(1, 2, 0), "vc1:gpm2->gpm0");
+    EXPECT_EQ(obs::mshrPoolName(2), "mshr:gpm2");
+}
+
+TEST(FlightRecorder, DumpLayoutIsPinned)
+{
+    obs::FlightRecorder fr(2);
+    fr.mshrHandoff(9, 4, 1);
+    fr.phase(10, 5, false, 1, 3, txnPhaseName(TxnPhase::L15),
+             txnPhaseName(TxnPhase::FabReq));
+    fr.record(11, "run failed: stalled");
+    std::ostringstream os;
+    fr.dumpJson(os, "stalled", "why");
+    EXPECT_EQ(os.str(),
+              "{\n"
+              "  \"schema\": \"mcmgpu-flight/1\",\n"
+              "  \"status\": \"stalled\",\n"
+              "  \"reason\": \"why\",\n"
+              "  \"capacity\": 2,\n"
+              "  \"recorded\": 3,\n"
+              "  \"dropped\": 1,\n"
+              "  \"events\": [\n"
+              "    {\"cycle\": 10, \"seq\": 1, \"what\": "
+              "\"txn 5 load gpm1->gpm3: l15 -> fab_req\"},\n"
+              "    {\"cycle\": 11, \"seq\": 2, \"what\": "
+              "\"run failed: stalled\"}\n"
+              "  ]\n"
+              "}\n");
+}
+
+TEST(FlightRecorder, BinaryAndTextEventsWrapTogether)
+{
+    // Slots alternate between text and binary events, so after the
+    // wrap a binary record sits where text was and vice versa.
+    obs::FlightRecorder fr(4);
+    fr.record(0, "t0");                               // slot 0
+    fr.phase(1, 1, false, 0, 1, "l15", "fab_req");    // slot 1
+    fr.record(2, "t2");                               // slot 2
+    fr.mshrWait(3, 3, 1, 8, 8);                       // slot 3
+    fr.phase(4, 4, true, 2, 3, "l15", "fab_req");     // over "t0"
+    fr.record(5, "t5");                               // over a phase
+    fr.vcHandoff(6, 6, 0, 3, 2);                      // over "t2"
+
+    EXPECT_EQ(fr.total(), 7u);
+    EXPECT_EQ(fr.size(), 4u);
+    EXPECT_EQ(fr.dropped(), 3u);
+    const auto evs = fr.events();
+    ASSERT_EQ(evs.size(), 4u);
+    const std::vector<std::string> want = {
+        "txn 3 waiting on mshr:gpm1 (8/8 in use)",
+        "txn 4 store gpm2->gpm3: l15 -> fab_req",
+        "t5",
+        "credit on vc0:gpm3->gpm2 handed to txn 6",
+    };
+    for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(evs[i].what, want[i]) << i;
+        EXPECT_EQ(evs[i].seq, 3 + i);
+        EXPECT_EQ(evs[i].when, Cycle(3 + i));
+    }
 }
 
 // --- End-to-end: failed runs dump, healthy runs do not --------------------
