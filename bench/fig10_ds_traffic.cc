@@ -11,7 +11,6 @@
 #include <cstring>
 #include <iostream>
 
-#include "common/log.hh"
 #include "common/table.hh"
 #include "common/units.hh"
 #include "sim/experiment.hh"
@@ -22,9 +21,7 @@ using workloads::Category;
 int
 main(int argc, char **argv)
 {
-    for (int i = 1; i < argc; ++i)
-        experiment::parseCliFlag(argc, argv, i);
-    setQuietLogging(true);
+    experiment::initBench(argc, argv);
 
     const GpuConfig base = configs::mcmBasic();
     GpuConfig ds = configs::mcmWithL15(16 * MiB, L15Alloc::RemoteOnly)

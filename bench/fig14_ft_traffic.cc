@@ -12,7 +12,6 @@
 #include <cstring>
 #include <iostream>
 
-#include "common/log.hh"
 #include "common/table.hh"
 #include "common/units.hh"
 #include "sim/experiment.hh"
@@ -37,9 +36,7 @@ ftConfig(uint64_t l15_bytes, const char *name)
 int
 main(int argc, char **argv)
 {
-    for (int i = 1; i < argc; ++i)
-        experiment::parseCliFlag(argc, argv, i);
-    setQuietLogging(true);
+    experiment::initBench(argc, argv);
 
     const GpuConfig base = configs::mcmBasic();
     const GpuConfig ft16 = ftConfig(16 * MiB, "mcm-ft-ds-l15-16mb");

@@ -18,7 +18,6 @@
 #include <cstring>
 #include <iostream>
 
-#include "common/log.hh"
 #include "common/summary.hh"
 #include "common/table.hh"
 #include "common/units.hh"
@@ -29,9 +28,7 @@ using namespace mcmgpu;
 int
 main(int argc, char **argv)
 {
-    for (int i = 1; i < argc; ++i)
-        experiment::parseCliFlag(argc, argv, i);
-    setQuietLogging(true);
+    experiment::initBench(argc, argv);
 
     const GpuConfig base = configs::mcmBasic();
     auto all = experiment::everyWorkload();

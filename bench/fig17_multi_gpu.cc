@@ -18,7 +18,6 @@
 #include <cstring>
 #include <iostream>
 
-#include "common/log.hh"
 #include "common/table.hh"
 #include "sim/experiment.hh"
 
@@ -27,9 +26,7 @@ using namespace mcmgpu;
 int
 main(int argc, char **argv)
 {
-    for (int i = 1; i < argc; ++i)
-        experiment::parseCliFlag(argc, argv, i);
-    setQuietLogging(true);
+    experiment::initBench(argc, argv);
 
     const GpuConfig multi_base = configs::multiGpuBaseline();
     auto all = experiment::everyWorkload();

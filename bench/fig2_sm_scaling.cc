@@ -14,7 +14,6 @@
 #include <cstring>
 #include <iostream>
 
-#include "common/log.hh"
 #include "common/summary.hh"
 #include "common/table.hh"
 #include "sim/experiment.hh"
@@ -24,9 +23,7 @@ using namespace mcmgpu;
 int
 main(int argc, char **argv)
 {
-    for (int i = 1; i < argc; ++i)
-        experiment::parseCliFlag(argc, argv, i);
-    setQuietLogging(true);
+    experiment::initBench(argc, argv);
 
     const uint32_t sm_counts[] = {32, 64, 96, 128, 160, 192, 224, 256};
     const GpuConfig base = configs::monolithic(32);

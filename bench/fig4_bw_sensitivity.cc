@@ -13,7 +13,6 @@
 #include <cstring>
 #include <iostream>
 
-#include "common/log.hh"
 #include "common/summary.hh"
 #include "common/table.hh"
 #include "sim/experiment.hh"
@@ -24,9 +23,7 @@ using workloads::Category;
 int
 main(int argc, char **argv)
 {
-    for (int i = 1; i < argc; ++i)
-        experiment::parseCliFlag(argc, argv, i);
-    setQuietLogging(true);
+    experiment::initBench(argc, argv);
 
     const double settings[] = {6144.0, 3072.0, 1536.0, 768.0, 384.0};
     const char *labels[] = {"6 TB/s", "3 TB/s", "1.5 TB/s", "768 GB/s",

@@ -244,8 +244,8 @@ BM_FlightRecordPhase(benchmark::State &state)
     uint64_t id = 0;
     for (auto _ : state) {
         fr.phase(id, id, (id & 1) != 0, id & 3, (id >> 2) & 3,
-                 txnPhaseName(TxnPhase::L2Lookup),
-                 txnPhaseName(TxnPhase::DramRead));
+                 wordOf(TxnPhase::L2Lookup),
+                 wordOf(TxnPhase::DramRead));
         benchmark::ClobberMemory();
         ++id;
     }

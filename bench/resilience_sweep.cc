@@ -19,7 +19,6 @@
  * performance, never correctness.
  */
 
-#include <cstring>
 #include <iostream>
 
 #include "common/log.hh"
@@ -82,41 +81,26 @@ printAxis(const char *title, const std::vector<GpuConfig> &settings,
 int
 main(int argc, char **argv)
 {
-    MemModel mem_model = MemModel::Chain;
-    uint32_t remote_mshrs = 0;
-    std::string topology;
+    experiment::MachineEdits edits;
     for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--mem-model") && i + 1 < argc) {
-            const std::string m = argv[++i];
-            if (m == "staged") {
-                mem_model = MemModel::Staged;
-            } else if (m != "chain") {
-                std::cerr << "unknown --mem-model '" << m
-                          << "' (chain|staged)\n";
-                return 1;
-            }
-        } else if (!std::strcmp(argv[i], "--remote-mshrs") &&
-                   i + 1 < argc) {
-            remote_mshrs = uint32_t(std::strtoul(argv[++i], nullptr, 10));
-        } else if (!std::strcmp(argv[i], "--topology") && i + 1 < argc) {
-            topology = argv[++i];
-        } else {
-            experiment::parseCliFlag(argc, argv, i);
+        if (!edits.parse(argc, argv, i) &&
+            !experiment::parseCliFlag(argc, argv, i)) {
+            std::cerr << "unknown flag '" << argv[i] << "'\n";
+            return 1;
         }
     }
     setQuietLogging(true);
 
     // Every machine on every axis — the pristine reference included —
-    // runs under the selected memory model and topology, so
-    // `--topology mesh2d:2x2` (or ring-of-rings / package) puts the
-    // link-derate and CRC-error axes on the compiled fabric's links —
-    // "mesh.0->1", "board.cw0" — instead of the default ring's.
+    // runs with the machine-editing flags applied (--mem-model,
+    // --remote-mshrs, --topology, ...), so `--topology mesh2d:2x2` (or
+    // ring-of-rings / package) puts the link-derate and CRC-error axes
+    // on the compiled fabric's links — "mesh.0->1", "board.cw0" —
+    // instead of the default ring's.
     auto makeOpt = [&]() {
-        GpuConfig c =
-            configs::mcmOptimized().withMemModel(mem_model, remote_mshrs);
-        if (!topology.empty())
-            c.withTopology(topology).withName(c.name + "+" + topology);
-        return c;
+        GpuConfig c;
+        edits.apply("mcm-optimized", c);
+        return c.withName(c.name + edits.tag);
     };
 
     const GpuConfig pristine = makeOpt();

@@ -89,7 +89,7 @@ runCell(const Shape &shape, RoutePolicy policy,
     Cell cell;
     cell.shape = shape.spec;
     cell.modules = shape.modules;
-    cell.policy = policy == RoutePolicy::Adaptive ? "adaptive" : "static";
+    cell.policy = wordOf(policy);
     cell.workload = w.abbr;
     cell.cycles = gpu.eventQueue().now();
     gpu.fabric().visitLinks([&](const std::string &name, Link &l) {

@@ -18,7 +18,6 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
-#include <initializer_list>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -45,141 +44,49 @@ namespace {
 void
 usage()
 {
-    std::printf(
-        "usage: mcmgpu_cli [options]\n"
-        "  --list                     list workloads and exit\n"
-        "  --workload <abbr>          workload to run (default Stream)\n"
-        "  --machine <preset>         mono-32 | mono-128 | mono-256 |\n"
-        "                             mcm-basic | mcm-optimized |\n"
-        "                             mcm-mesh | mcm-mesh-adaptive |\n"
-        "                             mcm-rings | mcm-package |\n"
-        "                             mcm-turnaround |\n"
-        "                             multi-gpu | multi-gpu-opt\n"
-        "                             (default mcm-basic)\n"
-        "  --link-gbps <n>            inter-module link bandwidth\n"
-        "  --hop-cycles <n>           per-hop latency\n"
-        "  --l15-mb <n>               remote-only L1.5 capacity (total)\n"
-        "  --sched <p>                centralized | distributed | dynamic\n"
-        "  --pages <p>                interleave | first-touch | rr-page\n"
-        "topology (docs/TOPOLOGY.md):\n"
-        "  --topology <spec>          ring | mesh2d:RxC |\n"
-        "                             ring-of-rings:G/R | package:P |\n"
-        "                             ports (default: the preset's)\n"
-        "  --pkg-link-gbps <n>        inter-package link bandwidth\n"
-        "                             (package:P only, default 256)\n"
-        "  --pkg-hop-cycles <n>       inter-package hop latency\n"
-        "                             (default 256)\n"
-        "  --route-policy <p>         static | adaptive: equal-cost\n"
-        "                             candidate selection (static is\n"
-        "                             the legacy toggle; adaptive takes\n"
-        "                             the least-backlogged route)\n"
-        "dram:\n"
-        "  --dram-turnaround <n>      read/write bus-turnaround cycles\n"
-        "                             per channel (default 0 = off)\n"
-        "  --dram-write-drain <n>     buffer n posted writes per channel\n"
-        "                             and drain as one batch (default 0)\n"
-        "  --stats                    print summary statistics\n"
-        "  --dump-stats               dump every component counter\n"
-        "memory pipeline:\n"
-        "  --mem-model <m>            chain | staged (default chain)\n"
-        "  --remote-mshrs <n>         staged: remote MSHRs per module\n"
-        "                             (0 = unbounded)\n"
-        "  --fabric-vcs <n>           staged: fabric virtual channels\n"
-        "                             (0 = off, 1 = shared pool —\n"
-        "                             deliberately deadlock-prone,\n"
-        "                             2 = req/resp, deadlock-free)\n"
-        "  --vc-credits <n>           credits per VC pool per GPM pair\n"
-        "                             (default 64)\n"
-        "parallel simulation (docs/PDES.md):\n"
-        "  --sim-threads <n>          simulate GPM domains on n threads\n"
-        "                             (default 1 = serial; needs the\n"
-        "                             staged model, distributed CTA\n"
-        "                             scheduling, fabric_vcs = 0;\n"
-        "                             ineligible configs warn and run\n"
-        "                             serial)\n"
-        "fault injection:\n"
-        "  --sweep-sms <n>            disable first n SMs of every GPM\n"
-        "  --link-derate <f>          derate all links to f (0 < f <= 1)\n"
-        "  --link-error-rate <p>      transient CRC-error chance per\n"
-        "                             traversal (0 <= p <= 1)\n"
-        "  --kill-partition <p>       mark DRAM partition p dead\n"
-        "  --fault-seed <s>           seed for link error streams\n"
-        "  --watchdog-cycles <n>      no-progress window (0 disables)\n"
-        "  --max-cycles <n>           stop after n cycles\n"
-        "parallel sweeps:\n"
-        "  --matrix <m1,m2,...>       run a machine x workload matrix\n"
-        "                             through the experiment pool\n"
-        "  --workloads <w1,w2,...>    workload set for --matrix\n"
-        "                             (default: all 48)\n"
-        "observability:\n"
-        "  --check-obs <dir>          validate every .json under dir "
-        "and\n"
-        "                             exit (0 = all well-formed; also\n"
-        "                             schema-checks stats/timeline/\n"
-        "                             fabric/flight artifacts)\n"
-        "scripting:\n"
-        "  --expect-status <s>        single-run: exit 0 iff the run "
-        "ends\n"
-        "                             with this status (finished | "
-        "stalled |\n"
-        "                             deadlock | timeout | cycle_limit "
-        "|\n"
-        "                             error), else exit 3\n"
-        "%s",
-        experiment::cliFlagHelp());
-}
-
-/** The value @p choices pairs with @p text; anything else exits. */
-template <typename E>
-E
-word(const std::string &flag, const std::string &text,
-     std::initializer_list<std::pair<const char *, E>> choices)
-{
-    std::string names;
-    for (const auto &[name, value] : choices) {
-        if (text == name)
-            return value;
-        names += (names.empty() ? "" : "|") + std::string(name);
-    }
-    experiment::badFlagValue(flag, text, "want " + names);
-}
-
-/**
- * Flags that edit the machine. Parsing records them; apply() replays
- * them in command-line order on top of each machine's preset, so they
- * compose with --machine and --matrix in either order.
- */
-struct MachineEdits
-{
-    std::vector<std::function<void(GpuConfig &)>> edits;
-    /** --matrix column suffix: "+<topology>" and/or "+adaptive". */
-    std::string tag;
-
-    /** @p preset with every edit applied; false for an unknown name. */
-    bool
-    apply(const std::string &preset, GpuConfig &out) const
-    {
-        if (!configs::byName(preset, out)) {
-            std::fprintf(stderr, "unknown machine '%s' (see --help)\n",
-                         preset.c_str());
-            return false;
-        }
-        for (const auto &edit : edits)
-            edit(out);
-        return true;
-    }
-};
-
-std::vector<std::string>
-splitCommas(const std::string &s)
-{
-    std::vector<std::string> out;
-    std::stringstream ss(s);
-    std::string tok;
-    while (std::getline(ss, tok, ','))
-        if (!tok.empty())
-            out.push_back(tok);
-    return out;
+    using experiment::helpLine;
+    std::string out = "usage: mcmgpu_cli [options]\n";
+    out += helpLine("--list", "list workloads and exit");
+    out += helpLine("--workload <abbr>", "workload to run (default Stream)");
+    out += helpLine("--machine <preset>",
+                    "mono-32 | mono-128 | mono-256 |\nmcm-basic | "
+                    "mcm-optimized |\nmcm-mesh | mcm-mesh-adaptive |\n"
+                    "mcm-rings | mcm-package |\nmcm-turnaround |\n"
+                    "multi-gpu | multi-gpu-opt\n(default mcm-basic)");
+    out += helpLine("--stats", "print summary statistics");
+    out += helpLine("--dump-stats", "dump every component counter");
+    out += "machine edits (applied after the preset, in any order):\n";
+    out += experiment::MachineEdits::help();
+    out += helpLine("--l15-mb <n>", "remote-only L1.5 capacity (total)");
+    out += "parallel simulation (docs/PDES.md):\n";
+    out += helpLine("--sim-threads <n>",
+                    "simulate GPM domains on n threads\n(default 1 = "
+                    "serial; needs the\nstaged model, distributed CTA\n"
+                    "scheduling, fabric_vcs = 0;\nineligible configs warn "
+                    "and run\nserial)");
+    out += "fault injection:\n";
+    out += helpLine("--sweep-sms <n>", "disable first n SMs of every GPM");
+    out += helpLine("--link-derate <f>", "derate all links to f (0 < f <= 1)");
+    out += helpLine("--link-error-rate <p>",
+                    "transient CRC-error chance per\ntraversal (0 <= p <= 1)");
+    out += helpLine("--kill-partition <p>", "mark DRAM partition p dead");
+    out += "parallel sweeps:\n";
+    out += helpLine("--matrix <m1,m2,...>",
+                    "run a machine x workload matrix\nthrough the "
+                    "experiment pool");
+    out += helpLine("--workloads <w1,w2,...>",
+                    "workload set for --matrix\n(default: all 48)");
+    out += "observability:\n";
+    out += helpLine("--check-obs <dir>",
+                    "validate every .json under dir and\nexit (0 = all "
+                    "well-formed; also\nschema-checks stats/timeline/\n"
+                    "fabric/flight artifacts)");
+    out += "scripting:\n";
+    out += helpLine("--expect-status <s>",
+                    "single-run: exit 0 iff the run ends\nwith this status "
+                    "(finished | stalled |\ndeadlock | timeout | "
+                    "cycle_limit |\nerror), else exit 3");
+    std::fputs((out + experiment::cliFlagHelp()).c_str(), stdout);
 }
 
 /**
@@ -190,10 +97,10 @@ splitCommas(const std::string &s)
  */
 int
 runMatrixMode(const std::string &machines, const std::string &workload_set,
-              const MachineEdits &edits)
+              const experiment::MachineEdits &edits)
 {
     std::vector<GpuConfig> cfgs;
-    for (const std::string &m : splitCommas(machines)) {
+    for (const std::string &m : experiment::splitCommas(machines)) {
         GpuConfig c;
         if (!edits.apply(m, c))
             return 1;
@@ -204,7 +111,7 @@ runMatrixMode(const std::string &machines, const std::string &workload_set,
     if (workload_set.empty()) {
         ws = experiment::everyWorkload();
     } else {
-        for (const std::string &abbr : splitCommas(workload_set)) {
+        for (const std::string &abbr : experiment::splitCommas(workload_set)) {
             const workloads::Workload *w = workloads::findByAbbr(abbr);
             if (!w) {
                 std::fprintf(stderr,
@@ -463,9 +370,10 @@ int
 main(int argc, char **argv)
 {
     setQuietLogging(true);
+    experiment::initFromEnv();
     std::string workload = "Stream";
     std::string machine = "mcm-basic";
-    MachineEdits edits;
+    experiment::MachineEdits edits;
     bool stats = false;
     bool dump = false;
     std::string matrix_machines;
@@ -500,55 +408,13 @@ main(int argc, char **argv)
             workload = next();
         } else if (arg == "--machine") {
             machine = next();
-        } else if (arg == "--link-gbps") {
-            edit([v = num(0.0)](GpuConfig &c) { c.link_gbps = v; });
-        } else if (arg == "--hop-cycles") {
-            edit([v = num(Cycle{})](GpuConfig &c) { c.link_hop_cycles = v; });
+        } else if (edits.parse(argc, argv, i)) {
+            // a plain machine field (visitFields)
         } else if (arg == "--l15-mb") {
             edit([mb = num(uint64_t{})](GpuConfig &c) {
                 c.withL15(mb * MiB, L15Alloc::RemoteOnly);
                 if (mb > 0 && mb * MiB < 16 * MiB)
                     c.l2.size_bytes = 16 * MiB - mb * MiB;
-            });
-        } else if (arg == "--sched") {
-            edit([p = word<CtaSchedPolicy>(
-                      arg, next(),
-                      {{"centralized", CtaSchedPolicy::CentralizedRR},
-                       {"distributed", CtaSchedPolicy::DistributedBatch},
-                       {"dynamic", CtaSchedPolicy::DynamicBatch}})](
-                     GpuConfig &c) { c.cta_sched = p; });
-        } else if (arg == "--pages") {
-            edit([p = word<PagePolicy>(
-                      arg, next(),
-                      {{"interleave", PagePolicy::FineInterleave},
-                       {"first-touch", PagePolicy::FirstTouch},
-                       {"rr-page", PagePolicy::RoundRobinPage}})](
-                     GpuConfig &c) { c.page_policy = p; });
-        } else if (arg == "--topology") {
-            const std::string spec = next();
-            edits.tag += "+" + spec;
-            edit([spec](GpuConfig &c) { c.withTopology(spec); });
-        } else if (arg == "--route-policy") {
-            const RoutePolicy p = word<RoutePolicy>(
-                arg, next(),
-                {{"static", RoutePolicy::Static},
-                 {"adaptive", RoutePolicy::Adaptive}});
-            if (p == RoutePolicy::Adaptive)
-                edits.tag += "+adaptive";
-            edit([p](GpuConfig &c) { c.withRoutePolicy(p); });
-        } else if (arg == "--pkg-link-gbps") {
-            edit([v = num(0.0)](GpuConfig &c) { c.pkg_link_gbps = v; });
-        } else if (arg == "--pkg-hop-cycles") {
-            edit([v = num(Cycle{})](GpuConfig &c) {
-                c.pkg_link_hop_cycles = v;
-            });
-        } else if (arg == "--dram-turnaround") {
-            edit([v = num(Cycle{})](GpuConfig &c) {
-                c.dram_turnaround_cycles = v;
-            });
-        } else if (arg == "--dram-write-drain") {
-            edit([v = num(uint32_t{})](GpuConfig &c) {
-                c.dram_write_drain = v;
             });
         } else if (arg == "--sweep-sms") {
             edit([v = num(uint32_t{})](GpuConfig &c) {
@@ -564,38 +430,12 @@ main(int argc, char **argv)
             edit([v = num(PartitionId{})](GpuConfig &c) {
                 c.fault.killPartition(v);
             });
-        } else if (arg == "--fault-seed") {
-            edit([v = num(uint64_t{})](GpuConfig &c) {
-                c.fault.withSeed(v);
-            });
-        } else if (arg == "--watchdog-cycles") {
-            edit([v = num(Cycle{})](GpuConfig &c) { c.watchdog_cycles = v; });
-        } else if (arg == "--max-cycles") {
-            edit([v = num(Cycle{})](GpuConfig &c) { c.cycle_limit = v; });
-        } else if (arg == "--mem-model") {
-            edit([m = word<MemModel>(arg, next(),
-                                     {{"chain", MemModel::Chain},
-                                      {"staged", MemModel::Staged}})](
-                     GpuConfig &c) { c.mem_model = m; });
-        } else if (arg == "--remote-mshrs") {
-            edit([v = num(uint32_t{})](GpuConfig &c) { c.remote_mshrs = v; });
-        } else if (arg == "--fabric-vcs") {
-            edit([v = num(uint32_t{})](GpuConfig &c) { c.fabric_vcs = v; });
-        } else if (arg == "--vc-credits") {
-            edit([v = num(uint32_t{})](GpuConfig &c) { c.vc_credits = v; });
         } else if (arg == "--sim-threads") {
             edit([v = num(uint32_t{})](GpuConfig &c) {
                 c.withSimThreads(v);
             });
         } else if (arg == "--expect-status") {
-            expect_status = word<RunStatus>(
-                arg, next(),
-                {{"finished", RunStatus::Finished},
-                 {"stalled", RunStatus::Stalled},
-                 {"deadlock", RunStatus::Deadlock},
-                 {"timeout", RunStatus::Timeout},
-                 {"cycle_limit", RunStatus::CycleLimit},
-                 {"error", RunStatus::Error}});
+            expect_status = num(RunStatus{});
         } else if (arg == "--stats") {
             stats = true;
         } else if (arg == "--dump-stats") {

@@ -24,31 +24,6 @@
 
 using namespace mcmgpu;
 
-namespace {
-
-const char *
-pageName(PagePolicy p)
-{
-    switch (p) {
-      case PagePolicy::FineInterleave:
-        return "fine-interleave";
-      case PagePolicy::FirstTouch:
-        return "first-touch";
-      case PagePolicy::RoundRobinPage:
-        return "round-robin page";
-    }
-    return "?";
-}
-
-const char *
-schedName(CtaSchedPolicy p)
-{
-    return p == CtaSchedPolicy::CentralizedRR ? "centralized"
-                                              : "distributed";
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
@@ -76,10 +51,9 @@ main(int argc, char **argv)
             GpuConfig cfg = configs::mcmWithL15(8 * MiB)
                                 .withSched(sched)
                                 .withPagePolicy(page);
-            cfg.name = std::string(schedName(sched)) + "/" +
-                       pageName(page);
+            cfg.name = std::string(wordOf(sched)) + "/" + wordOf(page);
             RunResult r = Simulator::run(cfg, *w);
-            t.addRow({schedName(sched), pageName(page),
+            t.addRow({wordOf(sched), wordOf(page),
                       std::to_string(r.cycles),
                       Table::fmt(r.interModuleTBps(), 3),
                       Table::fmt(r.speedupOver(base), 2) + "x"});

@@ -89,6 +89,10 @@ enum class CtaSchedPolicy
     DynamicBatch,
 };
 
+template <>
+inline constexpr std::array kWords<CtaSchedPolicy>{
+    "centralized", "distributed", "dynamic"};
+
 /** How pages are mapped to memory partitions (paper section 5.3). */
 enum class PagePolicy
 {
@@ -100,6 +104,10 @@ enum class PagePolicy
     RoundRobinPage,
 };
 
+template <>
+inline constexpr std::array kWords<PagePolicy>{
+    "interleave", "first-touch", "rr-page"};
+
 /** Allocation filter of the GPM-side L1.5 cache (paper section 5.1). */
 enum class L15Alloc
 {
@@ -107,6 +115,9 @@ enum class L15Alloc
     All,        //!< cache both local and remote lines
     RemoteOnly, //!< cache only lines homed on a remote module
 };
+
+template <>
+inline constexpr std::array kWords<L15Alloc>{"off", "all", "remote-only"};
 
 /**
  * How the memory system resolves a post-L1 access.
@@ -125,6 +136,9 @@ enum class MemModel
     Staged, //!< event-per-stage split transactions
 };
 
+template <>
+inline constexpr std::array kWords<MemModel>{"chain", "staged"};
+
 /**
  * How the fabric chooses among equal-cost candidate routes
  * (docs/TOPOLOGY.md "Route policies").
@@ -142,6 +156,9 @@ enum class RoutePolicy
     Static,   //!< legacy toggle over ties (default; bit-identical)
     Adaptive, //!< least-backlog candidate, toggle only on full ties
 };
+
+template <>
+inline constexpr std::array kWords<RoutePolicy>{"static", "adaptive"};
 
 /** Geometry/latency of one set-associative cache level. */
 struct CacheGeometry
@@ -321,8 +338,6 @@ struct GpuConfig
     GpuConfig &withL15(uint64_t total_bytes, L15Alloc alloc);
     GpuConfig &withSched(CtaSchedPolicy p) { cta_sched = p; return *this; }
     GpuConfig &withPagePolicy(PagePolicy p) { page_policy = p; return *this; }
-    GpuConfig &withFault(FaultPlan plan)
-    { fault = std::move(plan); return *this; }
     GpuConfig &
     withMemModel(MemModel m, uint32_t mshrs = 0)
     {
@@ -356,6 +371,108 @@ struct GpuConfig
         return *this;
     }
 };
+
+/** How visitFields() names one GpuConfig field outside the struct. */
+struct FieldSpec
+{
+    const char *key;            //!< stable name: "l1.size_bytes", ...
+    const char *flag = nullptr; //!< machine-editing CLI flag, if any
+    const char *arg = "";       //!< --help placeholder for the value
+    /** --help text; a word type's words are printed ahead of it. */
+    const char *help = "";
+    /** --matrix column names carry "+<value>" unless it is T{}. */
+    bool tag = false;
+};
+
+/**
+ * Call @p v(spec, field) on every scalar GpuConfig field, in declaration
+ * order. This list is the one place a machine knob is named outside the
+ * struct: the result-cache key (experiment::configKey), the CLI's
+ * machine-editing flags and their --help lines
+ * (experiment::MachineEdits) and the key-coverage test all derive from
+ * it. Left out: the display name, which never changes a run, and the
+ * fault-plan lists and sim_threads, which configKey() appends itself.
+ */
+template <class C, class V>
+void
+visitFields(C &c, V &&v)
+{
+    v({"num_modules"}, c.num_modules);
+    v({"sms_per_module"}, c.sms_per_module);
+    v({"partitions_per_module"}, c.partitions_per_module);
+    v({"max_warps_per_sm"}, c.max_warps_per_sm);
+    v({"max_ctas_per_sm"}, c.max_ctas_per_sm);
+    v({"sm_issue_width"}, c.sm_issue_width);
+    v({"max_outstanding_per_warp"}, c.max_outstanding_per_warp);
+    v({"l1.size_bytes"}, c.l1.size_bytes);
+    v({"l1.line_bytes"}, c.l1.line_bytes);
+    v({"l1.ways"}, c.l1.ways);
+    v({"l1.hit_latency"}, c.l1.hit_latency);
+    v({"l15.size_bytes"}, c.l15.size_bytes);
+    v({"l15.line_bytes"}, c.l15.line_bytes);
+    v({"l15.ways"}, c.l15.ways);
+    v({"l15.hit_latency"}, c.l15.hit_latency);
+    v({"l2.size_bytes"}, c.l2.size_bytes);
+    v({"l2.line_bytes"}, c.l2.line_bytes);
+    v({"l2.ways"}, c.l2.ways);
+    v({"l2.hit_latency"}, c.l2.hit_latency);
+    v({"l15_total_bytes"}, c.l15_total_bytes);
+    v({"l15_alloc"}, c.l15_alloc);
+    v({"l15_miss_penalty"}, c.l15_miss_penalty);
+    v({"dram_total_gbps"}, c.dram_total_gbps);
+    v({"dram_latency_ns"}, c.dram_latency_ns);
+    v({"channels_per_partition"}, c.channels_per_partition);
+    v({"dram_turnaround_cycles", "--dram-turnaround", "<n>",
+       "read/write bus-turnaround cycles\nper channel (default 0 = off)"},
+      c.dram_turnaround_cycles);
+    v({"dram_write_drain", "--dram-write-drain", "<n>",
+       "buffer n posted writes per channel\n"
+       "and drain as one batch (default 0)"},
+      c.dram_write_drain);
+    v({"link_gbps", "--link-gbps", "<n>", "inter-module link bandwidth"},
+      c.link_gbps);
+    v({"link_hop_cycles", "--hop-cycles", "<n>", "per-hop latency"},
+      c.link_hop_cycles);
+    v({"board_level_links"}, c.board_level_links);
+    v({"topology", "--topology", "<spec>",
+       "ring | mesh2d:RxC |\nring-of-rings:G/R | package:P |\n"
+       "ports (default: the preset's)", /*tag=*/true},
+      c.topology);
+    v({"pkg_link_gbps", "--pkg-link-gbps", "<n>",
+       "inter-package link bandwidth\n(package:P only, default 256)"},
+      c.pkg_link_gbps);
+    v({"pkg_link_hop_cycles", "--pkg-hop-cycles", "<n>",
+       "inter-package hop latency\n(default 256)"},
+      c.pkg_link_hop_cycles);
+    v({"route_policy", "--route-policy", "<p>",
+       ": equal-cost\ncandidate selection (static is\nthe legacy toggle; "
+       "adaptive takes\nthe least-backlogged route)", /*tag=*/true},
+      c.route_policy);
+    v({"mem_model", "--mem-model", "<m>", " (default chain)"}, c.mem_model);
+    v({"remote_mshrs", "--remote-mshrs", "<n>",
+       "staged: remote MSHRs per module\n(0 = unbounded)"},
+      c.remote_mshrs);
+    v({"fabric_vcs", "--fabric-vcs", "<n>",
+       "staged: fabric virtual channels\n(0 = off, 1 = shared pool —\n"
+       "deliberately deadlock-prone,\n2 = req/resp, deadlock-free)"},
+      c.fabric_vcs);
+    v({"vc_credits", "--vc-credits", "<n>",
+       "credits per VC pool per GPM pair\n(default 64)"},
+      c.vc_credits);
+    v({"page_policy", "--pages", "<p>"}, c.page_policy);
+    v({"page_bytes"}, c.page_bytes);
+    v({"interleave_bytes"}, c.interleave_bytes);
+    v({"cta_sched", "--sched", "<p>"}, c.cta_sched);
+    v({"kernel_launch_cycles"}, c.kernel_launch_cycles);
+    v({"fault.link_retry_cycles"}, c.fault.link_retry_cycles);
+    v({"fault.seed", "--fault-seed", "<s>", "seed for link error streams"},
+      c.fault.seed);
+    v({"watchdog_cycles", "--watchdog-cycles", "<n>",
+       "no-progress window (0 disables)"},
+      c.watchdog_cycles);
+    v({"cycle_limit", "--max-cycles", "<n>", "stop after n cycles"},
+      c.cycle_limit);
+}
 
 namespace configs {
 

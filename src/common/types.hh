@@ -6,6 +6,8 @@
 #ifndef MCMGPU_COMMON_TYPES_HH
 #define MCMGPU_COMMON_TYPES_HH
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 
 namespace mcmgpu {
@@ -36,6 +38,24 @@ inline constexpr ModuleId kInvalidModule = ~0u;
 
 /** Largest representable cycle; used as "never". */
 inline constexpr Cycle kCycleMax = ~0ull;
+
+/**
+ * The words that spell a T on the command line, in the result-cache key
+ * and in reports, indexed by value. Numeric and string types have none;
+ * each word type specializes this next to its declaration.
+ */
+template <class T>
+inline constexpr std::array<const char *, 0> kWords{};
+template <>
+inline constexpr std::array kWords<bool>{"false", "true"};
+
+/** The word that spells @p v (see kWords). */
+template <class T>
+const char *
+wordOf(T v)
+{
+    return kWords<T>.at(static_cast<size_t>(v));
+}
 
 } // namespace mcmgpu
 

@@ -1106,8 +1106,8 @@ void
 MemPipeline::flightPhase(TxnPhase from, const MemTxn &txn)
 {
     rec_->flight()->phase(txn.t, txn.id, txn.is_store, txn.src,
-                          txn.home_module, txnPhaseName(from),
-                          txnPhaseName(txn.phase));
+                          txn.home_module, wordOf(from),
+                          wordOf(txn.phase));
 }
 
 void
@@ -1119,7 +1119,7 @@ MemPipeline::ensureTraceTracks()
     trace_pid_ = tr.addProcess("mem.txn");
     for (size_t i = 0; i < static_cast<size_t>(TxnPhase::Complete); ++i) {
         trace_tids_[i] = tr.addThread(
-            trace_pid_, txnPhaseName(static_cast<TxnPhase>(i)));
+            trace_pid_, wordOf(static_cast<TxnPhase>(i)));
     }
     // Credit-stall track only when flow control can produce spans, so
     // traces of VC-less runs keep their exact track set.

@@ -54,8 +54,11 @@ enum class TxnPhase : uint8_t
     Complete, //!< deliver data / acceptance to the SM
 };
 
-/** Printable stage name ("l15", "fab_req", ...). */
-const char *txnPhaseName(TxnPhase p);
+/** Printable stage names, for wordOf(). */
+template <>
+inline constexpr std::array kWords<TxnPhase>{
+    "l15", "fab_req", "l2_lookup", "dram_read", "l2_fill", "fab_resp",
+    "complete"};
 
 /** One post-L1 memory request in flight. */
 struct MemTxn
@@ -161,21 +164,6 @@ class TxnArena
     std::vector<std::unique_ptr<MemTxn[]>> blocks_;
     MemTxn *free_ = nullptr;
 };
-
-inline const char *
-txnPhaseName(TxnPhase p)
-{
-    switch (p) {
-      case TxnPhase::L15: return "l15";
-      case TxnPhase::FabReq: return "fab_req";
-      case TxnPhase::L2Lookup: return "l2_lookup";
-      case TxnPhase::DramRead: return "dram_read";
-      case TxnPhase::L2Fill: return "l2_fill";
-      case TxnPhase::FabResp: return "fab_resp";
-      case TxnPhase::Complete: return "complete";
-    }
-    return "?";
-}
 
 } // namespace mcmgpu
 

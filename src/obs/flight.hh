@@ -63,7 +63,7 @@ class FlightRecorder
     /**
      * One ring slot. The record's seq is its position in the ring, so
      * it is not stored. Phase names are the static strings
-     * txnPhaseName() returns, held by pointer.
+     * wordOf() returns, held by pointer.
      */
     struct Record
     {

@@ -60,15 +60,6 @@ Options options();
 /** Replace the process-wide options (call before starting sweeps). */
 void setOptions(const Options &opt);
 
-/**
- * Overlay MCMGPU_SAMPLE_PERIOD / MCMGPU_STATS_JSON / MCMGPU_TRACE_JSON
- * / MCMGPU_FLIGHT_RECORDER / MCMGPU_OBS_DIR onto the current options.
- * Idempotent; the
- * experiment harness calls this once at startup so env configuration
- * works for embedders that never touch CLI flags.
- */
-void initFromEnv();
-
 } // namespace obs
 } // namespace mcmgpu
 

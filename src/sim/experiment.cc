@@ -3,7 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <limits>
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -25,6 +25,23 @@ namespace {
 /** Bump when the timing model changes to invalidate stale caches. */
 constexpr int kModelVersion = 2;
 
+struct HarnessState;
+
+/**
+ * One shared sweep flag and the MCMGPU_* variable that sets the same
+ * thing. set() applies @p v to @p s or to the obs options, checking a
+ * number under @p name; a switch gets a null @p v from the command
+ * line and its variable's text from the environment.
+ */
+struct SweepFlag
+{
+    const char *flag;
+    const char *env; //!< nullptr: none
+    const char *arg; //!< "" for a switch
+    const char *help;
+    void (*set)(HarnessState &s, const char *name, const char *v);
+};
+
 /**
  * Process-wide harness state. One mutex guards all of it: the memo is
  * only touched from admission/commit paths on caller threads (never
@@ -35,35 +52,99 @@ struct HarnessState
     std::mutex mu;
     std::map<std::string, RunResult> memo;
     uint64_t memo_hits = 0;
-    std::shared_ptr<exec::ResultCache> cache;
+    std::shared_ptr<exec::ResultCache> cache =
+        std::make_shared<exec::ResultCache>(".mcmgpu_cache", kModelVersion);
     exec::TelemetrySink sink;
-    unsigned jobs_setting; //!< 0 = one per hardware thread
+    unsigned jobs_setting = 1; //!< 0 = one per hardware thread
     std::string runs_json;
     double job_timeout_s = 0.0; //!< per-job wall budget; 0 disables
 
-    HarnessState()
-    {
-        const char *dir = std::getenv("MCMGPU_CACHE_DIR");
-        cache = std::make_shared<exec::ResultCache>(
-            dir ? dir : ".mcmgpu_cache", kModelVersion);
-        const char *jobs_env = std::getenv("MCMGPU_JOBS");
-        jobs_setting = jobs_env ? unsigned(std::strtoul(jobs_env,
-                                                        nullptr, 10))
-                                : 1;
-        const char *runs_env = std::getenv("MCMGPU_RUNS_JSON");
-        runs_json = runs_env ? runs_env : "";
-        const char *timeout_env = std::getenv("MCMGPU_JOB_TIMEOUT_S");
-        if (timeout_env)
-            job_timeout_s = std::strtod(timeout_env, nullptr);
-        // Observability defaults come from MCMGPU_SAMPLE_PERIOD /
-        // MCMGPU_STATS_JSON / MCMGPU_TRACE_JSON / MCMGPU_OBS_DIR; CLI
-        // flags parsed later override them.
-        obs::initFromEnv();
-        // Funnel warn()/inform() through the single progress writer so
-        // pool-worker diagnostics never interleave mid-line on stderr.
-        exec::Progress::instance().installLogSink();
-    }
+    HarnessState();
 };
+
+/** @p field from a flag's or variable's text @p v: a switch is on
+ *  unless "", "0", "false", "no" or "off" (a bare flag has a null
+ *  @p v); anything else parses as flagNumber() does. */
+template <typename T>
+void
+setFrom(T &field, const char *name, const char *v)
+{
+    if constexpr (std::is_same_v<T, bool>) {
+        const std::string s = v ? v : "1";
+        field = !(s.empty() || s == "0" || s == "false" || s == "no" ||
+                  s == "off");
+    } else {
+        field = flagNumber<T>(name, v);
+    }
+}
+
+/** SweepFlag::set for a HarnessState member. */
+template <auto Member>
+void
+setHarness(HarnessState &s, const char *name, const char *v)
+{
+    setFrom(s.*Member, name, v);
+}
+
+/** SweepFlag::set for an obs::Options member. */
+template <auto Member>
+void
+setObs(HarnessState &, const char *name, const char *v)
+{
+    obs::Options o = obs::options();
+    setFrom(o.*Member, name, v);
+    obs::setOptions(o);
+}
+
+const SweepFlag kSweepFlags[] = {
+    {"--quiet", nullptr, "", "suppress per-run progress lines",
+     [](HarnessState &, const char *, const char *) { setProgress(false); }},
+    {"--jobs", "MCMGPU_JOBS", "<n>",
+     "parallel sweep workers (1 = serial,\n0 = one per hardware thread)",
+     setHarness<&HarnessState::jobs_setting>},
+    {"--runs-json", "MCMGPU_RUNS_JSON", "<path>",
+     "write per-job telemetry after every\nsweep",
+     setHarness<&HarnessState::runs_json>},
+    {"--cache-dir", "MCMGPU_CACHE_DIR", "<dir>",
+     "result cache location ('' disables)",
+     [](HarnessState &s, const char *, const char *v) {
+         s.cache = std::make_shared<exec::ResultCache>(v, kModelVersion);
+     }},
+    {"--job-timeout-s", "MCMGPU_JOB_TIMEOUT_S", "<s>",
+     "per-job wall-clock budget; a run over\nbudget ends as 'timeout' and "
+     "retries\nwith backoff (0 disables)",
+     setHarness<&HarnessState::job_timeout_s>},
+    {"--sample-period", "MCMGPU_SAMPLE_PERIOD", "<cycles>",
+     "sample windowed timelines every N\ncycles into "
+     "<obs-dir>/*.timeline.json",
+     setObs<&obs::Options::sample_period>},
+    {"--stats-json", "MCMGPU_STATS_JSON", "", "dump per-run stats.json",
+     setObs<&obs::Options::stats_json>},
+    {"--trace-json", "MCMGPU_TRACE_JSON", "", "emit per-run Chrome trace.json",
+     setObs<&obs::Options::trace_json>},
+    {"--obs-flight-recorder", "MCMGPU_FLIGHT_RECORDER", "<n>",
+     "keep the last N events in a ring;\nfailed runs dump them as\n"
+     "<obs-dir>/*.flight.json (0 disables)",
+     setObs<&obs::Options::flight_recorder>},
+    {"--obs-dir", "MCMGPU_OBS_DIR", "<dir>",
+     "observability output directory\n(default obs-out)",
+     [](HarnessState &s, const char *name, const char *v) {
+         if (*v)
+             setObs<&obs::Options::out_dir>(s, name, v);
+     }},
+};
+
+HarnessState::HarnessState()
+{
+    // The variables first; flags parsed later override them.
+    for (const SweepFlag &f : kSweepFlags) {
+        if (const char *v = f.env ? std::getenv(f.env) : nullptr)
+            f.set(*this, f.env, v);
+    }
+    // Funnel warn()/inform() through the single progress writer so
+    // pool-worker diagnostics never interleave mid-line on stderr.
+    exec::Progress::instance().installLogSink();
+}
 
 HarnessState &
 state()
@@ -161,49 +242,23 @@ setJobTimeout(double seconds)
     s.job_timeout_s = seconds > 0.0 ? seconds : 0.0;
 }
 
-const char *
+std::string
 cliFlagHelp()
 {
-    return "  --quiet                    suppress per-run progress lines\n"
-           "  --jobs <n>                 parallel sweep workers (1 = "
-           "serial,\n"
-           "                             0 = one per hardware thread; or "
-           "set\n"
-           "                             MCMGPU_JOBS)\n"
-           "  --runs-json <path>         write per-job telemetry after "
-           "every\n"
-           "                             sweep (or set MCMGPU_RUNS_JSON)\n"
-           "  --cache-dir <dir>          result cache location ('' "
-           "disables;\n"
-           "                             or set MCMGPU_CACHE_DIR)\n"
-           "  --job-timeout-s <s>        per-job wall-clock budget; a "
-           "run over\n"
-           "                             budget ends as 'timeout' and "
-           "retries\n"
-           "                             with backoff (or set\n"
-           "                             MCMGPU_JOB_TIMEOUT_S; 0 "
-           "disables)\n"
-           "  --sample-period <cycles>   sample windowed timelines every "
-           "N\n"
-           "                             cycles into <obs-dir>/"
-           "*.timeline.json\n"
-           "                             (or set MCMGPU_SAMPLE_PERIOD)\n"
-           "  --stats-json               dump per-run stats.json (or "
-           "set\n"
-           "                             MCMGPU_STATS_JSON=1)\n"
-           "  --trace-json               emit per-run Chrome trace.json "
-           "(or\n"
-           "                             set MCMGPU_TRACE_JSON=1)\n"
-           "  --obs-flight-recorder <n>  keep the last N events in a "
-           "ring;\n"
-           "                             failed runs dump them as\n"
-           "                             <obs-dir>/*.flight.json (or "
-           "set\n"
-           "                             MCMGPU_FLIGHT_RECORDER; 0 "
-           "disables)\n"
-           "  --obs-dir <dir>            observability output directory\n"
-           "                             (default obs-out; or set "
-           "MCMGPU_OBS_DIR)\n";
+    std::string out;
+    for (const SweepFlag &f : kSweepFlags) {
+        out += helpLine(std::string(f.flag) + " " + f.arg,
+                        f.help + (f.env ? std::string("\n(or set ") +
+                                              f.env + ")"
+                                        : ""));
+    }
+    return out;
+}
+
+void
+initFromEnv()
+{
+    state();
 }
 
 void
@@ -215,48 +270,57 @@ badFlagValue(const std::string &flag, const std::string &text,
     std::exit(1);
 }
 
+void
+initBench(int argc, char **argv)
+{
+    for (int i = 1; i < argc; ++i) {
+        if (!parseCliFlag(argc, argv, i)) {
+            std::fprintf(stderr, "unknown flag '%s'\n", argv[i]);
+            std::exit(1);
+        }
+    }
+    setQuietLogging(true);
+}
+
+std::string
+helpLine(const std::string &flag_arg, const std::string &text)
+{
+    constexpr size_t kColumn = 29; // where descriptions start
+    std::string line = "  " + flag_arg;
+    line.resize(std::max(line.size() + 1, kColumn), ' ');
+    for (char c : text)
+        line += c == '\n' ? "\n" + std::string(kColumn, ' ')
+                          : std::string(1, c);
+    return line + "\n";
+}
+
+std::vector<std::string>
+splitCommas(const std::string &s)
+{
+    std::vector<std::string> out;
+    std::stringstream ss(s);
+    std::string tok;
+    while (std::getline(ss, tok, ','))
+        if (!tok.empty())
+            out.push_back(tok);
+    return out;
+}
+
 bool
 parseCliFlag(int argc, char **argv, int &i)
 {
-    const char *arg = argv[i];
-    auto value = [&]() -> const char * {
-        fatal_if(i + 1 >= argc, "flag '", arg, "' needs a value");
-        return argv[++i];
-    };
-    if (!std::strcmp(arg, "--quiet")) {
-        setProgress(false);
-    } else if (!std::strcmp(arg, "--jobs")) {
-        setJobs(flagNumber<unsigned>(arg, value()));
-    } else if (!std::strcmp(arg, "--runs-json")) {
-        setRunsJsonPath(value());
-    } else if (!std::strcmp(arg, "--cache-dir")) {
-        setCacheDir(value());
-    } else if (!std::strcmp(arg, "--job-timeout-s")) {
-        setJobTimeout(flagNumber<double>(arg, value()));
-    } else if (!std::strcmp(arg, "--sample-period")) {
-        obs::Options o = obs::options();
-        o.sample_period = flagNumber<Cycle>(arg, value());
-        obs::setOptions(o);
-    } else if (!std::strcmp(arg, "--stats-json")) {
-        obs::Options o = obs::options();
-        o.stats_json = true;
-        obs::setOptions(o);
-    } else if (!std::strcmp(arg, "--trace-json")) {
-        obs::Options o = obs::options();
-        o.trace_json = true;
-        obs::setOptions(o);
-    } else if (!std::strcmp(arg, "--obs-flight-recorder")) {
-        obs::Options o = obs::options();
-        o.flight_recorder = flagNumber<uint32_t>(arg, value());
-        obs::setOptions(o);
-    } else if (!std::strcmp(arg, "--obs-dir")) {
-        obs::Options o = obs::options();
-        o.out_dir = value();
-        obs::setOptions(o);
-    } else {
-        return false;
+    HarnessState &s = state(); // the environment first, flags over it
+    for (const SweepFlag &f : kSweepFlags) {
+        if (std::strcmp(argv[i], f.flag) != 0)
+            continue;
+        if (*f.arg && i + 1 >= argc)
+            badFlagValue(f.flag, "", "missing");
+        const char *value = *f.arg ? argv[++i] : nullptr;
+        std::lock_guard<std::mutex> lk(s.mu);
+        f.set(s, f.flag, value);
+        return true;
     }
-    return true;
+    return false;
 }
 
 std::string
@@ -280,46 +344,93 @@ workloadKey(const workloads::Workload &w)
 std::string
 configKey(const GpuConfig &cfg)
 {
-    // Every GpuConfig field but the display name, in declaration order.
-    // Doubles print round-trip exact, so nearby values never share a key.
-    std::ostringstream os;
-    os.precision(std::numeric_limits<double>::max_digits10);
-    auto level = [&os](const CacheGeometry &g) {
-        os << g.size_bytes << ',' << g.line_bytes << ',' << g.ways << ','
-           << g.hit_latency << '/';
+    // Every visited field, then what visitFields() leaves to the key.
+    std::string key;
+    auto put = [&key](const auto &...v) {
+        ((printValue(key, v), key += ','), ...);
     };
-    os << cfg.num_modules << ',' << cfg.sms_per_module << ','
-       << cfg.partitions_per_module << '/' << cfg.max_warps_per_sm << ','
-       << cfg.max_ctas_per_sm << ',' << cfg.sm_issue_width << ','
-       << cfg.max_outstanding_per_warp << '/';
-    level(cfg.l1);
-    level(cfg.l15);
-    level(cfg.l2);
-    os << cfg.l15_total_bytes << ',' << static_cast<int>(cfg.l15_alloc)
-       << ',' << cfg.l15_miss_penalty << '/' << cfg.dram_total_gbps << ','
-       << cfg.dram_latency_ns << ',' << cfg.channels_per_partition << ','
-       << cfg.dram_turnaround_cycles << ',' << cfg.dram_write_drain << '/'
-       << cfg.link_gbps << ',' << cfg.link_hop_cycles << ','
-       << cfg.board_level_links << ',' << cfg.topology << ','
-       << cfg.pkg_link_gbps << ',' << cfg.pkg_link_hop_cycles << ','
-       << static_cast<int>(cfg.route_policy) << '/'
-       << static_cast<int>(cfg.mem_model) << ',' << cfg.remote_mshrs << ','
-       << cfg.fabric_vcs << ',' << cfg.vc_credits << '/'
-       << static_cast<int>(cfg.page_policy) << ',' << cfg.page_bytes << ','
-       << cfg.interleave_bytes << '/' << static_cast<int>(cfg.cta_sched)
-       << ',' << cfg.kernel_launch_cycles << '/' << cfg.fault.seed << ','
-       << cfg.fault.link_retry_cycles;
+    visitFields(cfg, [&put](const FieldSpec &, const auto &v) { put(v); });
     for (const auto &s : cfg.fault.swept_sms)
-        os << ";s" << s.module << '.' << s.local_sm;
+        put("s", s.module, s.local_sm);
     for (const auto &l : cfg.fault.link_faults)
-        os << ";l" << l.module << ',' << l.bw_derate << ',' << l.error_rate;
+        put("l", l.module, l.bw_derate, l.error_rate);
     for (PartitionId p : cfg.fault.dead_partitions)
-        os << ";d" << p;
+        put("d", p);
     // Runs on any N >= 2 threads are byte-identical to one another
     // (docs/PDES.md), so the engine is only serial or parallel.
-    os << '/' << cfg.watchdog_cycles << ',' << cfg.cycle_limit << ','
-       << (cfg.sim_threads >= 2);
-    return os.str();
+    put(cfg.sim_threads >= 2);
+    return key;
+}
+
+namespace {
+
+/**
+ * Parse @p text into the field flagged @p flag (a bad value exits 1),
+ * adding "+<text>" to @p tag for a tagged field's non-default value.
+ * @return false when no field has that flag.
+ */
+bool
+setFlagged(GpuConfig &c, const std::string &flag, const std::string &text,
+           std::string *tag)
+{
+    bool found = false;
+    visitFields(c, [&](const FieldSpec &f, auto &field) {
+        using T = std::decay_t<decltype(field)>;
+        if (found || !f.flag || flag != f.flag)
+            return;
+        found = true;
+        field = flagNumber<T>(flag, text);
+        if (tag && f.tag && field != T{})
+            *tag += "+" + text;
+    });
+    return found;
+}
+
+} // namespace
+
+bool
+MachineEdits::parse(int argc, char **argv, int &i)
+{
+    const std::string flag = argv[i];
+    const std::string text = i + 1 < argc ? argv[i + 1] : "";
+    GpuConfig probe; // checks the value now, before anything runs
+    if (!setFlagged(probe, flag, text, &tag))
+        return false;
+    ++i;
+    edits.push_back([flag, text](GpuConfig &c) {
+        setFlagged(c, flag, text, nullptr);
+    });
+    return true;
+}
+
+bool
+MachineEdits::apply(const std::string &preset, GpuConfig &out) const
+{
+    if (!configs::byName(preset, out)) {
+        std::fprintf(stderr, "unknown machine '%s' (see --help)\n",
+                     preset.c_str());
+        return false;
+    }
+    for (const auto &edit : edits)
+        edit(out);
+    return true;
+}
+
+std::string
+MachineEdits::help()
+{
+    std::string out;
+    const GpuConfig defaults;
+    visitFields(defaults, [&out](const FieldSpec &f, const auto &v) {
+        using T = std::decay_t<decltype(v)>;
+        if (!f.flag)
+            return;
+        std::string text;
+        for (size_t w = 0; w < kWords<T>.size(); ++w)
+            text += (w ? " | " : "") + std::string(kWords<T>[w]);
+        out += helpLine(std::string(f.flag) + " " + f.arg, text + f.help);
+    });
+    return out;
 }
 
 const RunResult &

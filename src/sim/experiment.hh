@@ -17,10 +17,13 @@
 #ifndef MCMGPU_SIM_EXPERIMENT_HH
 #define MCMGPU_SIM_EXPERIMENT_HH
 
-#include <exception>
-#include <limits>
+#include <algorithm>
+#include <charconv>
+#include <cmath>
+#include <functional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <vector>
 
@@ -78,51 +81,123 @@ void setRunsJsonPath(std::string path);
  */
 void setJobTimeout(double seconds);
 
+/**
+ * @p text as a T, all of it: a decimal unsigned integer or a finite
+ * double through std::from_chars (no sign on an unsigned T, no blanks,
+ * in range), one of kWords<T> for a word type, any string verbatim.
+ * @return false, leaving @p out alone, when @p text is no T.
+ */
+template <typename T>
+bool
+parseValue(const std::string &text, T &out)
+{
+    if constexpr (std::is_same_v<T, std::string>) {
+        out = text;
+        return true;
+    } else if constexpr (!kWords<T>.empty()) {
+        const auto w = std::find(kWords<T>.begin(), kWords<T>.end(), text);
+        if (w != kWords<T>.end())
+            out = static_cast<T>(w - kWords<T>.begin());
+        return w != kWords<T>.end();
+    } else {
+        T v{};
+        const char *end = text.data() + text.size();
+        const auto [stop, ec] = std::from_chars(text.data(), end, v);
+        if (ec != std::errc() || stop != end || !std::isfinite(double(v)))
+            return false;
+        out = v;
+        return true;
+    }
+}
+
+/** Append @p v to @p out as text that parseValue() reads back exactly. */
+template <typename T>
+void
+printValue(std::string &out, const T &v)
+{
+    if constexpr (std::is_convertible_v<T, std::string_view>) {
+        out += v;
+    } else if constexpr (!kWords<T>.empty()) {
+        out += wordOf(v);
+    } else {
+        char buf[32];
+        out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+    }
+}
+
 /** Exit 1 with a one-line message naming the flag and its value. */
 [[noreturn]] void badFlagValue(const std::string &flag,
                                const std::string &text,
                                const std::string &want);
 
-/**
- * @p text as a T, all of it: non-numeric text, trailing junk, a sign
- * on an unsigned T and values T cannot hold exit via badFlagValue().
- */
+/** @p text by parseValue(), or exit via badFlagValue(). */
 template <typename T>
 T
 flagNumber(const std::string &flag, const std::string &text)
 {
-    size_t used = 0;
-    try {
-        if constexpr (std::is_floating_point_v<T>) {
-            const T v = std::stod(text, &used);
-            if (used == text.size())
-                return v;
-        } else {
-            const unsigned long long v = std::stoull(text, &used);
-            if (used == text.size() && text[0] != '-' &&
-                v <= std::numeric_limits<T>::max())
-                return static_cast<T>(v);
-        }
-    } catch (const std::exception &) {
-    }
-    badFlagValue(flag, text,
-                 std::is_floating_point_v<T> ? "want a number"
-                                             : "want a non-negative integer");
+    T v{};
+    if (parseValue(text, v))
+        return v;
+    std::string want = std::is_floating_point_v<T>
+                           ? "want a number"
+                           : "want a non-negative integer";
+    for (size_t w = 0; w < kWords<T>.size(); ++w)
+        want = (w ? want + "|" : "want ") + kWords<T>[w];
+    badFlagValue(flag, text, want);
 }
 
 /**
- * Consume one shared experiment CLI flag at @p argv[i] (--quiet,
- * --jobs N, --runs-json PATH, --cache-dir DIR, --job-timeout-s S,
- * --sample-period N, --stats-json, --trace-json,
- * --obs-flight-recorder N, --obs-dir DIR), advancing @p i past any
- * value. Every bench binary routes unrecognized args through this. A
- * malformed number exits 1 via badFlagValue().
- * @return true if the flag was consumed.
+ * Machine-editing flags: one per flagged visitFields() field, plus any
+ * compound edit a binary pushes itself. parse() checks each value at
+ * once (a bad one exits 1 before anything runs) and records the edit;
+ * apply() replays the edits in command-line order on top of a preset,
+ * so they compose with --machine / --matrix in either order.
+ */
+struct MachineEdits
+{
+    std::vector<std::function<void(GpuConfig &)>> edits;
+    /** Name suffix for edited machines: "+<topology>", "+adaptive". */
+    std::string tag;
+
+    /** Consume the field flag at @p argv[i] and its value, advancing
+     *  @p i; false (nothing consumed) for any other argument. */
+    bool parse(int argc, char **argv, int &i);
+
+    /** @p preset with every edit applied; false for an unknown name. */
+    bool apply(const std::string &preset, GpuConfig &out) const;
+
+    /** --help lines for the flags parse() understands. */
+    static std::string help();
+};
+
+/** Read the MCMGPU_* variables of cliFlagHelp() now (each is read once,
+ *  before any flag; a malformed number exits via badFlagValue()). */
+void initFromEnv();
+
+/**
+ * Consume one shared experiment CLI flag (cliFlagHelp() lists them) at
+ * @p argv[i], advancing @p i past any value. Every bench binary routes
+ * unrecognized args through this. A malformed number exits 1 via
+ * badFlagValue(). @return true if the flag was consumed.
  */
 bool parseCliFlag(int argc, char **argv, int &i);
 
+/**
+ * Start a figure binary: every argument must be a flag parseCliFlag()
+ * understands (anything else exits 1), and simulator log lines are
+ * quieted.
+ */
+void initBench(int argc, char **argv);
+
+/** One --help entry: "  <flag_arg>", then @p text in the shared
+ *  description column, each '\n' in it starting a continuation line. */
+std::string helpLine(const std::string &flag_arg, const std::string &text);
+
+/** The non-empty comma-separated items of @p s ("a,,b" -> a, b). */
+std::vector<std::string> splitCommas(const std::string &s);
+
 /** Usage text for the flags parseCliFlag() understands. */
-const char *cliFlagHelp();
+std::string cliFlagHelp();
 
 /**
  * Run @p w on @p cfg, memoized per process. Simulation exceptions

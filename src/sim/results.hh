@@ -32,19 +32,15 @@ enum class RunStatus
     Timeout,    //!< per-job wall-clock budget expired (SimTimeout)
 };
 
+template <>
+inline constexpr std::array kWords<RunStatus>{
+    "finished", "cycle_limit", "stalled", "error", "deadlock", "timeout"};
+
 /** Human-readable status name ("finished"/"cycle_limit"/...). */
 inline const char *
 toString(RunStatus s)
 {
-    switch (s) {
-      case RunStatus::Finished: return "finished";
-      case RunStatus::CycleLimit: return "cycle_limit";
-      case RunStatus::Stalled: return "stalled";
-      case RunStatus::Error: return "error";
-      case RunStatus::Deadlock: return "deadlock";
-      case RunStatus::Timeout: return "timeout";
-    }
-    return "unknown";
+    return wordOf(s);
 }
 
 /** Outcome of one complete application run on one machine. */

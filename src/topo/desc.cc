@@ -39,19 +39,6 @@ parsePair(const std::string &body, char sep, uint32_t &a, uint32_t &b)
 
 } // namespace
 
-const char *
-kindName(TopoKind kind)
-{
-    switch (kind) {
-      case TopoKind::Ring: return "ring";
-      case TopoKind::Mesh2D: return "mesh2d";
-      case TopoKind::RingOfRings: return "ring-of-rings";
-      case TopoKind::Package: return "package";
-      case TopoKind::Ports: return "ports";
-    }
-    return "?";
-}
-
 bool
 parseTopology(const std::string &spec, TopologyDesc &out, std::string &error)
 {

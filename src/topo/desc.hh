@@ -65,9 +65,6 @@ struct TopologyDesc
 bool parseTopology(const std::string &spec, TopologyDesc &out,
                    std::string &error);
 
-/** Display name of a topology family ("ring", "mesh2d", ...). */
-const char *kindName(TopoKind kind);
-
 } // namespace topo
 } // namespace mcmgpu
 

@@ -6,7 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <functional>
+#include <iterator>
+#include <limits>
+#include <map>
+#include <random>
 #include <set>
 #include <string>
 #include <utility>
@@ -31,79 +37,47 @@ class ExperimentTest : public ::testing::Test
     }
 };
 
+/** Moves @p v to a neighbouring value of its type. */
+template <class T>
+void
+perturb(T &v)
+{
+    if constexpr (std::is_same_v<T, std::string>)
+        v += "x";
+    else if constexpr (!kWords<T>.empty())
+        v = static_cast<T>((static_cast<size_t>(v) + 1) %
+                           kWords<T>.size());
+    else if constexpr (std::is_floating_point_v<T>)
+        v = std::nextafter(v, std::numeric_limits<T>::infinity());
+    else
+        v = v == std::numeric_limits<T>::max() ? v - 1 : v + 1;
+}
+
 TEST_F(ExperimentTest, ConfigKeyDistinguishesTimingFields)
 {
-    // One row per field that can change a run: perturbing it must move
-    // the key. A field added to GpuConfig belongs in configKey and here.
+    // Every field visitFields() names, moved to a neighbouring value
+    // (the smallest double step tests that doubles print round-trip
+    // exact), plus what configKey() appends itself: each edit must
+    // move the key, and to a key of its own.
     using Edit = std::function<void(GpuConfig &)>;
-    const std::vector<std::pair<const char *, Edit>> rows = {
-        {"num_modules", [](GpuConfig &c) { c.num_modules = 8; }},
-        {"sms_per_module", [](GpuConfig &c) { c.sms_per_module = 32; }},
-        {"partitions_per_module",
-         [](GpuConfig &c) { c.partitions_per_module = 2; }},
-        {"max_warps_per_sm", [](GpuConfig &c) { c.max_warps_per_sm = 32; }},
-        {"max_ctas_per_sm", [](GpuConfig &c) { c.max_ctas_per_sm = 8; }},
-        {"sm_issue_width", [](GpuConfig &c) { c.sm_issue_width = 2; }},
-        {"max_outstanding_per_warp",
-         [](GpuConfig &c) { c.max_outstanding_per_warp = 2; }},
-        {"l1.size_bytes", [](GpuConfig &c) { c.l1.size_bytes *= 2; }},
-        {"l1.line_bytes", [](GpuConfig &c) { c.l1.line_bytes = 64; }},
-        {"l1.ways", [](GpuConfig &c) { c.l1.ways = 8; }},
-        {"l1.hit_latency", [](GpuConfig &c) { c.l1.hit_latency += 1; }},
-        {"l15.size_bytes", [](GpuConfig &c) { c.l15.size_bytes = MiB; }},
-        {"l15.line_bytes", [](GpuConfig &c) { c.l15.line_bytes = 64; }},
-        {"l15.ways", [](GpuConfig &c) { c.l15.ways = 8; }},
-        {"l15.hit_latency", [](GpuConfig &c) { c.l15.hit_latency += 1; }},
-        {"l2.size_bytes", [](GpuConfig &c) { c.l2.size_bytes *= 2; }},
-        {"l2.line_bytes", [](GpuConfig &c) { c.l2.line_bytes = 64; }},
-        {"l2.ways", [](GpuConfig &c) { c.l2.ways = 8; }},
-        {"l2.hit_latency", [](GpuConfig &c) { c.l2.hit_latency += 1; }},
-        {"l15_total_bytes",
-         [](GpuConfig &c) { c.l15_total_bytes = 8 * MiB; }},
-        {"l15_alloc", [](GpuConfig &c) { c.l15_alloc = L15Alloc::All; }},
-        {"l15_miss_penalty", [](GpuConfig &c) { c.l15_miss_penalty += 1; }},
-        {"dram_total_gbps", [](GpuConfig &c) { c.dram_total_gbps += 0.5; }},
-        {"dram_latency_ns", [](GpuConfig &c) { c.dram_latency_ns += 0.5; }},
-        {"channels_per_partition",
-         [](GpuConfig &c) { c.channels_per_partition = 4; }},
-        {"dram_turnaround_cycles",
-         [](GpuConfig &c) { c.dram_turnaround_cycles = 8; }},
-        {"dram_write_drain", [](GpuConfig &c) { c.dram_write_drain = 16; }},
-        {"link_gbps", [](GpuConfig &c) { c.link_gbps = 768.0000001; }},
-        {"link_hop_cycles", [](GpuConfig &c) { c.link_hop_cycles = 64; }},
-        {"board_level_links",
-         [](GpuConfig &c) { c.board_level_links = true; }},
-        {"topology", [](GpuConfig &c) { c.topology = "mesh2d"; }},
-        {"pkg_link_gbps", [](GpuConfig &c) { c.pkg_link_gbps = 512.0; }},
-        {"pkg_link_hop_cycles",
-         [](GpuConfig &c) { c.pkg_link_hop_cycles = 128; }},
-        {"route_policy",
-         [](GpuConfig &c) { c.route_policy = RoutePolicy::Adaptive; }},
-        {"mem_model", [](GpuConfig &c) { c.mem_model = MemModel::Staged; }},
-        {"remote_mshrs", [](GpuConfig &c) { c.remote_mshrs = 16; }},
-        {"fabric_vcs", [](GpuConfig &c) { c.fabric_vcs = 2; }},
-        {"vc_credits", [](GpuConfig &c) { c.vc_credits = 32; }},
-        {"page_policy",
-         [](GpuConfig &c) { c.page_policy = PagePolicy::FirstTouch; }},
-        {"page_bytes", [](GpuConfig &c) { c.page_bytes = 64 * KiB; }},
-        {"interleave_bytes", [](GpuConfig &c) { c.interleave_bytes = 512; }},
-        {"cta_sched",
-         [](GpuConfig &c) { c.cta_sched = CtaSchedPolicy::DynamicBatch; }},
-        {"kernel_launch_cycles",
-         [](GpuConfig &c) { c.kernel_launch_cycles = 0; }},
-        {"fault.seed", [](GpuConfig &c) { c.fault.withSeed(7); }},
-        {"fault.link_retry_cycles",
-         [](GpuConfig &c) { c.fault.link_retry_cycles = 32; }},
+    std::vector<std::pair<std::string, Edit>> rows = {
         {"fault.swept_sms", [](GpuConfig &c) { c.fault.sweepSm(0, 0); }},
         {"fault.link_faults", [](GpuConfig &c) { c.fault.derateLinks(0.5); }},
         {"fault.dead_partitions",
          [](GpuConfig &c) { c.fault.killPartition(1); }},
-        {"watchdog_cycles", [](GpuConfig &c) { c.watchdog_cycles = 0; }},
-        {"cycle_limit", [](GpuConfig &c) { c.cycle_limit = 1000; }},
         {"sim_threads 1->2", [](GpuConfig &c) { c.withSimThreads(2); }},
     };
-
     const GpuConfig base = configs::mcmBasic();
+    visitFields(base, [&rows](const FieldSpec &f, const auto &) {
+        rows.emplace_back(f.key, [n = rows.size() - 4](GpuConfig &c) {
+            size_t k = 0;
+            visitFields(c, [&](const FieldSpec &, auto &v) {
+                if (k++ == n)
+                    perturb(v);
+            });
+        });
+    });
+
     const std::string k = experiment::configKey(base);
     std::set<std::string> keys = {k};
     for (const auto &[field, edit] : rows) {
@@ -117,6 +91,167 @@ TEST_F(ExperimentTest, ConfigKeyDistinguishesTimingFields)
 
     // The display name never changes a run.
     EXPECT_EQ(experiment::configKey(GpuConfig(base).withName("renamed")), k);
+}
+
+/** Converts to any member type, so T{AnyMember{}...} counts the
+ *  members of aggregate T (the boost.pfr idiom). */
+struct AnyMember
+{
+    template <class T>
+    operator T() const;
+};
+
+template <class T, class... A>
+constexpr size_t
+memberCount()
+{
+    if constexpr (requires { T{A{}..., AnyMember{}}; })
+        return memberCount<T, A..., AnyMember>();
+    else
+        return sizeof...(A);
+}
+
+TEST_F(ExperimentTest, VisitFieldsCoversEveryMember)
+{
+    // Visited keys per top-level member ("l1.ways" counts for "l1"),
+    // each key and each flag named once.
+    std::map<std::string, size_t> members;
+    std::set<std::string> names;
+    GpuConfig cfg;
+    visitFields(cfg, [&](const FieldSpec &f, const auto &) {
+        const std::string key = f.key;
+        ++members[key.substr(0, key.find('.'))];
+        EXPECT_TRUE(names.insert(key).second) << key;
+        if (f.flag) {
+            EXPECT_TRUE(names.insert(f.flag).second) << f.flag;
+        }
+    });
+    // Deleting any visitor line, or adding a member without one, breaks
+    // a count. Not visited: the display name and sim_threads at the top
+    // level, the three fault-plan lists inside `fault`.
+    EXPECT_EQ(members.size() + 2, memberCount<GpuConfig>());
+    for (const char *level : {"l1", "l15", "l2"})
+        EXPECT_EQ(members[level], memberCount<CacheGeometry>()) << level;
+    EXPECT_EQ(members["fault"] + 3, memberCount<FaultPlan>());
+}
+
+/** A random value of a flagged field's type. */
+template <class T>
+T
+randomValue(std::mt19937_64 &rng)
+{
+    if constexpr (std::is_same_v<T, std::string>) {
+        std::string s(1 + rng() % 12, ' ');
+        for (char &ch : s)
+            ch = static_cast<char>('!' + rng() % 94);
+        return s;
+    } else if constexpr (!kWords<T>.empty()) {
+        return static_cast<T>(rng() % kWords<T>.size());
+    } else if constexpr (std::is_floating_point_v<T>) {
+        // Any finite bit pattern, or a plain value like a flag's.
+        for (T v = std::bit_cast<T>(rng());; v = std::bit_cast<T>(rng())) {
+            if (std::isfinite(v))
+                return rng() % 2 ? v : static_cast<T>(rng() % 100000) / 8;
+        }
+    } else {
+        const T edges[] = {0, 1, std::numeric_limits<T>::max()};
+        switch (rng() % 3) {
+          case 0: return edges[rng() % 3];
+          case 1: return static_cast<T>(rng() % 100000);
+          default: return static_cast<T>(rng());
+        }
+    }
+}
+
+TEST(FlagParser, AcceptsExactlyTheValidValues)
+{
+    // For every flagged field, a fixed-seed stream of valid values that
+    // must print and parse back unchanged, each followed by broken
+    // variants of its text: garbage, trailing junk, a blank or sign in
+    // front, and out-of-range numbers. Strings take any text; words
+    // take only their own; numbers take only plain digits (a sign and
+    // an exponent on doubles) that land in range and finite.
+    std::mt19937_64 rng(16);
+    GpuConfig cfg;
+    size_t flagged = 0;
+    visitFields(cfg, [&](const FieldSpec &f, auto &field) {
+        using T = std::decay_t<decltype(field)>;
+        if (!f.flag)
+            return;
+        ++flagged;
+        constexpr bool any_text = std::is_same_v<T, std::string>;
+        constexpr bool is_double = std::is_floating_point_v<T>;
+        // Out of range; for a word type, just not a word.
+        std::string too_big = is_double ? "1e999" : "0";
+        if constexpr (!any_text && !is_double && kWords<T>.empty()) {
+            // max + 1 in decimal: no T holds it.
+            too_big = std::to_string(std::numeric_limits<T>::max());
+            size_t d = too_big.size();
+            while (d > 0 && too_big[d - 1] == '9')
+                too_big[--d] = '0';
+            if (d == 0)
+                too_big.insert(0, "1");
+            else
+                ++too_big[d - 1];
+        }
+        for (int n = 0; n < 300; ++n) {
+            const T v = randomValue<T>(rng);
+            std::string text;
+            experiment::printValue(text, v);
+            T back{};
+            ASSERT_TRUE(experiment::parseValue(text, back))
+                << f.flag << " '" << text << "'";
+            EXPECT_EQ(back, v) << f.flag << " '" << text << "'";
+
+            const bool negative_ok = is_double && text[0] != '-';
+            const std::pair<std::string, bool> cases[] = {
+                {"", any_text},
+                {"abc", any_text},
+                {text + "x", any_text},
+                {text + " ", any_text},
+                {" " + text, any_text},
+                {"+" + text, any_text},
+                {"-" + text, any_text || negative_ok},
+                {text.substr(0, rng() % text.size()) + "z" + text,
+                 any_text},
+                {too_big, any_text},
+                {"nan", any_text},
+                {"inf", any_text},
+            };
+            for (const auto &[bad, ok] : cases) {
+                T out{};
+                EXPECT_EQ(experiment::parseValue(bad, out), ok)
+                    << f.flag << " '" << bad << "'";
+            }
+        }
+    });
+    EXPECT_EQ(flagged, 17u);
+}
+
+TEST(MachineEdits, ReplayFlagsInOrderOnAPreset)
+{
+    const char *args[] = {"cli",         "--link-gbps",    "96",
+                          "--topology",  "mesh2d:2x2",     "--route-policy",
+                          "adaptive",    "--link-gbps",    "100",
+                          "--sched",     "dynamic",        "--no-such-flag"};
+    char **argv = const_cast<char **>(args);
+    const int argc = static_cast<int>(std::size(args));
+    experiment::MachineEdits edits;
+    int i = 1;
+    for (; i < argc && edits.parse(argc, argv, i); ++i) {
+    }
+    EXPECT_EQ(i, argc - 1); // the unknown flag is left unconsumed
+    EXPECT_EQ(edits.tag, "+mesh2d:2x2+adaptive");
+
+    GpuConfig c;
+    ASSERT_TRUE(edits.apply("mcm-basic", c));
+    GpuConfig want = configs::mcmBasic()
+                         .withLinkGbps(100)
+                         .withTopology("mesh2d:2x2")
+                         .withRoutePolicy(RoutePolicy::Adaptive)
+                         .withSched(CtaSchedPolicy::DynamicBatch);
+    EXPECT_EQ(experiment::configKey(c), experiment::configKey(want));
+    EXPECT_FALSE(edits.apply("no-such-machine", c));
 }
 
 TEST_F(ExperimentTest, ConfigKeyCoversEngineAndLineSize)

@@ -249,10 +249,10 @@ TEST(FlightRecorder, EveryRecordKindKeepsItsText)
     // carried for these fields: lines of real deadlock dumps, and for
     // the response VC the pool name the stall diagnostic prints.
     obs::FlightRecorder fr(16);
-    fr.phase(1390, 43, false, 2, 0, txnPhaseName(TxnPhase::FabResp),
-             txnPhaseName(TxnPhase::Complete));
-    fr.phase(651, 32768, true, 0, 0, txnPhaseName(TxnPhase::L2Fill),
-             txnPhaseName(TxnPhase::Complete));
+    fr.phase(1390, 43, false, 2, 0, wordOf(TxnPhase::FabResp),
+             wordOf(TxnPhase::Complete));
+    fr.phase(651, 32768, true, 0, 0, wordOf(TxnPhase::L2Fill),
+             wordOf(TxnPhase::Complete));
     fr.mshrWait(558, 16816, 0, 4, 4);
     fr.vcPark(312, 2, 0, 0, 1);
     fr.vcPark(320, 7, 1, 2, 0);
@@ -288,8 +288,8 @@ TEST(FlightRecorder, DumpLayoutIsPinned)
 {
     obs::FlightRecorder fr(2);
     fr.mshrHandoff(9, 4, 1);
-    fr.phase(10, 5, false, 1, 3, txnPhaseName(TxnPhase::L15),
-             txnPhaseName(TxnPhase::FabReq));
+    fr.phase(10, 5, false, 1, 3, wordOf(TxnPhase::L15),
+             wordOf(TxnPhase::FabReq));
     fr.record(11, "run failed: stalled");
     std::ostringstream os;
     fr.dumpJson(os, "stalled", "why");

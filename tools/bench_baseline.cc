@@ -31,7 +31,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -42,6 +41,7 @@
 #include "common/json.hh"
 #include "gpu/gpu_system.hh"
 #include "gpu/runtime.hh"
+#include "sim/experiment.hh"
 #include "workloads/registry.hh"
 
 using namespace mcmgpu;
@@ -73,40 +73,25 @@ machineByName(const std::string &name, GpuConfig &cfg)
     // adaptive pairs are distinct in the baseline and — not containing
     // "+staged" — ride the strict cycle-identity gate.
     static const std::string kAdaptive = "+adaptive";
-    if (name.size() > kAdaptive.size() &&
-        name.compare(name.size() - kAdaptive.size(), kAdaptive.size(),
-                     kAdaptive) == 0) {
-        const std::string base = name.substr(0, name.size() -
-                                                    kAdaptive.size());
-        if (!machineByName(base, cfg))
-            return false;
-        cfg.withRoutePolicy(RoutePolicy::Adaptive);
-        cfg.name += kAdaptive;
-        return true;
-    }
-    return configs::byName(name, cfg);
-}
-
-std::vector<std::string>
-splitCommas(const std::string &s)
-{
-    std::vector<std::string> out;
-    std::stringstream ss(s);
-    std::string tok;
-    while (std::getline(ss, tok, ','))
-        if (!tok.empty())
-            out.push_back(tok);
-    return out;
+    const bool adaptive = name.ends_with(kAdaptive);
+    const std::string preset =
+        adaptive ? name.substr(0, name.size() - kAdaptive.size()) : name;
+    if (!configs::byName(preset, cfg))
+        return false;
+    if (adaptive)
+        cfg.withRoutePolicy(RoutePolicy::Adaptive).name += kAdaptive;
+    return true;
 }
 
 PairResult
-runPair(const GpuConfig &cfg, const workloads::Workload &wl, int repeats)
+runPair(const GpuConfig &cfg, const workloads::Workload &wl,
+        unsigned repeats)
 {
     PairResult r;
     r.config = cfg.name;
     r.workload = wl.abbr;
     double best_ms = 0.0;
-    for (int i = 0; i < repeats; ++i) {
+    for (unsigned i = 0; i < repeats; ++i) {
         GpuSystem gpu(cfg);
         Runtime rt(gpu);
         const auto t0 = std::chrono::steady_clock::now();
@@ -323,7 +308,7 @@ main(int argc, char **argv)
     double threshold_pct = 20.0;
     bool use_threshold = true;
     bool quiet = false;
-    int repeats = 1;
+    unsigned repeats = 1;
     bool run_chain = true;
     bool run_staged = false;
     bool run_staged_vc = false;
@@ -341,11 +326,12 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (a == "--machines")
-            machines = splitCommas(next());
+            machines = experiment::splitCommas(next());
         else if (a == "--workloads")
-            workload_names = splitCommas(next());
+            workload_names = experiment::splitCommas(next());
         else if (a == "--repeat")
-            repeats = std::max(1, std::atoi(next().c_str()));
+            repeats =
+                std::max(1u, experiment::flagNumber<unsigned>(a, next()));
         else if (a == "--mem-model") {
             const std::string m = next();
             run_chain = m == "chain" || m == "both" || m == "all";
@@ -358,14 +344,14 @@ main(int argc, char **argv)
                 return 2;
             }
         } else if (a == "--sim-threads")
-            sim_threads = static_cast<uint32_t>(
-                std::max(1, std::atoi(next().c_str())));
+            sim_threads =
+                std::max(1u, experiment::flagNumber<uint32_t>(a, next()));
         else if (a == "--out")
             out_path = next();
         else if (a == "--baseline")
             baseline_path = next();
         else if (a == "--threshold")
-            threshold_pct = std::atof(next().c_str());
+            threshold_pct = experiment::flagNumber<double>(a, next());
         else if (a == "--no-threshold")
             use_threshold = false;
         else if (a == "--compare")
